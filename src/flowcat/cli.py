@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .closedform import (
     catalan_polytope_volume,
@@ -87,23 +87,28 @@ def _as_int(value: object, method: str) -> int:
 
 def _special_form(
     kind: str, params: tuple[int, ...], netflow: tuple[int, ...]
-) -> tuple[object, object] | None:
-    """(ct_value, closed_value) when the (graph, netflow) pair matches one of
-    the families with a dedicated constant-term and closed-form route."""
+) -> dict[str, Callable[[], object]]:
+    """The "ct" and "closed" routes when the (graph, netflow) pair matches one
+    of the families with a dedicated constant-term and closed-form route.
+    Each route runs only when its method is asked for."""
     n = len(netflow) - 1
     if kind == "complete":
         if n >= 2 and netflow == (1, 1) + (0,) * (n - 2) + (-2,):
-            return catalan_polytope_ct(n), catalan_polytope_volume(n)
+            return {"ct": lambda: catalan_polytope_ct(n),
+                    "closed": lambda: catalan_polytope_volume(n)}
         if n >= 3 and netflow == (1,) + (0,) * (n - 1) + (-1,):
-            return morris_ct(n - 2, 0, 2, 1), cry_product(n)
+            return {"ct": lambda: morris_ct(n - 2, 0, 2, 1),
+                    "closed": lambda: cry_product(n)}
     if kind == "morris" and netflow == (1,) + (0,) * (n - 1) + (-1,):
         _, a, b, m = params
         if a >= 1:
-            return morris_ct(n - 1, a - 1, b, m), morris_polytope_volume(n, a, b, m)
+            return {"ct": lambda: morris_ct(n - 1, a - 1, b, m),
+                    "closed": lambda: morris_polytope_volume(n, a, b, m)}
     if kind == "tesler" and netflow == (1,) * n + (-n,):
         _, a, b = params
-        return tesler_ct(n, a, b), tesler_family_volume(n, a, b)
-    return None
+        return {"ct": lambda: tesler_ct(n, a, b),
+                "closed": lambda: tesler_family_volume(n, a, b)}
+    return {}
 
 
 def _emit(payload: dict[str, object], fmt: str, out) -> None:
@@ -141,15 +146,11 @@ def _run_methods(
 def _cmd_volume(args, out) -> int:
     kind, params, G = _parse_graph(args.graph)
     netflow = _parse_netflow(args.netflow, G)
-    special = _special_form(kind, params, netflow)
     compute: dict[str, object] = {
         "lidskii": lambda: lidskii_volume(G, netflow),
         "ehrhart": lambda: ehrhart_polynomial(G, netflow).normalized_volume,
+        **_special_form(kind, params, netflow),
     }
-    if special is not None:
-        ct_val, closed_val = special
-        compute["ct"] = lambda: ct_val
-        compute["closed"] = lambda: closed_val
     return _run_methods(args, compute, "volume", out)
 
 

@@ -5,15 +5,20 @@ smaller to its larger endpoint.  An edge (i, j) carries the root e_i - e_j, and
 the Kostant partition function K_G(b) counts nonnegative integer combinations
 of the edge roots summing to b, where an edge of multiplicity m contributes m
 independent slots.
+
+K_G is evaluated by one exact sweep over the vertices that pushes each
+vertex's supply over its out-edges one edge at a time (`_flow_sweep`).  The
+Lidskii sums of `flowcat.lidskii` run through the same sweep, choosing each
+vertex's composition part inside it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
-from .compositions import compositions_weight, weak_compositions
+from .compositions import compositions_weight
 
 Edge = tuple[int, int, int]  # (source, target, multiplicity)
 
@@ -198,48 +203,83 @@ def kostant(G: Multigraph, b: Sequence[int]) -> int:
     """Kostant partition function K_G(b).
 
     Counts assignments of nonnegative integers to the N edge slots whose
-    signed root sum equals b.  Evaluated by sweeping vertices in order and
-    distributing each vertex's supply (netflow plus accumulated inflow) over
-    its out-edges; an edge of multiplicity m receiving total flow f is
-    weighted by the number of ordered splits of f into m parts.
+    signed root sum equals b, by one run of the flow sweep (`_flow_sweep`)
+    with no budget.
     """
     b = tuple(int(x) for x in b)
     if len(b) != G.vertex_count:
         raise ValueError("vector length must equal the vertex count")
     if sum(b) != 0:
         return 0
-    n1 = G.vertex_count
-    out: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for i, j, m in G.edges:
-        out[i].append((j, m))
+    return _flow_sweep(G, b)
 
-    # states: pending inflow for vertices v..n1 -> number of weighted flows
-    states: dict[tuple[int, ...], int] = {(0,) * n1: 1}
+
+def _flow_sweep(
+    G: Multigraph,
+    base: Sequence[int],
+    budget: int = 0,
+    caps: Sequence[int] | None = None,
+    weight: Callable[[int, int, int], int] | None = None,
+) -> int:
+    """Weighted count of integer flows on G, one out-edge at a time.
+
+    Vertex v first takes a part i_v of a shared budget and has netflow
+    base[v-1] + i_v.  The parts sum to `budget`, and i_v <= caps[v-1]; the
+    flow is weighted by the product of weight(v, rem, i_v), rem being the
+    budget left before vertex v.  With no budget this is K_G(base).
+
+    The sweep visits the vertices in order.  A state is the budget left and
+    the pending inflow of the vertices not yet visited.  A vertex's supply
+    (its netflow plus its inflow) is pushed over its out-edges one edge at
+    a time; flow f on an edge of multiplicity m has weight C(f+m-1, m-1),
+    and the last out-edge takes whatever supply is left.  States whose
+    budget the remaining vertices cannot absorb are dropped.
+    """
+    n1 = G.vertex_count
+    caps = caps if caps is not None else (0,) * n1
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n1 + 1)]
+    for i, j, m in G.edges:
+        out[i].append((j - i + 1, m))  # key index of j's pending inflow
+    room = [0] * (n1 + 2)  # the most budget vertices v..n1 can take
+    for v in range(n1, 0, -1):
+        room[v] = min(budget, room[v + 1] + caps[v - 1])
+
+    # state key: (budget left, pending inflow of v, ..., of n1)
+    states: dict[tuple[int, ...], int] = {(budget,) + (0,) * n1: 1}
     for v in range(1, n1 + 1):
-        targets = out.get(v, [])
-        new: dict[tuple[int, ...], int] = defaultdict(int)
-        for pend, cnt in states.items():
-            supply = b[v - 1] + pend[0]
-            rest = pend[1:]
-            if supply < 0:
-                continue
-            if not targets:
-                if supply == 0:
-                    new[rest] += cnt
-                continue
-            for comp in weak_compositions(supply, len(targets)):
-                w = cnt
-                for flow, (_, mult) in zip(comp, targets):
-                    w *= compositions_weight(flow, mult)
-                    if w == 0:
-                        break
-                if w == 0:
+        cap, later, bv = caps[v - 1], room[v + 1], base[v - 1]
+        parts: dict[int, list[tuple[int, int]]] = {}
+        # stage key: (budget left, supply left at v, pending of v+1, ..., n1)
+        stage: dict[tuple[int, ...], int] = defaultdict(int)
+        for key, cnt in states.items():
+            rem = key[0]
+            choices = parts.get(rem)
+            if choices is None:
+                choices = parts[rem] = [
+                    (i, w) for i in range(max(0, rem - later), min(rem, cap) + 1)
+                    if (w := 1 if weight is None else weight(v, rem, i))
+                ]
+            supply, rest = bv + key[1], key[2:]
+            for i, w in choices:
+                if supply + i >= 0:
+                    stage[(rem - i, supply + i) + rest] += cnt * w
+        edges = out[v]
+        if not edges:
+            stage = {k[:1] + k[2:]: c for k, c in stage.items() if k[1] == 0}
+        for pos, (slot, m) in enumerate(edges):
+            top = max((k[1] for k in stage), default=0)
+            ways = [compositions_weight(f, m) for f in range(top + 1)]
+            nxt: dict[tuple[int, ...], int] = defaultdict(int)
+            for k, cnt in stage.items():
+                rem, s = k[0], k[1]
+                before, here, after = k[2:slot], k[slot], k[slot + 1:]
+                if pos == len(edges) - 1:
+                    nxt[(rem,) + before + (here + s,) + after] += cnt * ways[s]
                     continue
-                nxt = list(rest)
-                for flow, (tgt, _) in zip(comp, targets):
-                    nxt[tgt - v - 1] += flow
-                new[tuple(nxt)] += w
-        states = dict(new)
+                for f in range(s + 1):
+                    nxt[(rem, s - f) + before + (here + f,) + after] += cnt * ways[f]
+            stage = nxt
+        states = stage
         if not states:
             return 0
-    return states.get((), 0)
+    return states.get((0,), 0)

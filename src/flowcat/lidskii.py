@@ -1,20 +1,26 @@
 """Volumes and lattice-point counts of flow polytopes via composition sums.
 
-Implements the Baldoni-Vergne composition-indexed expansions of the normalized
-volume and of the lattice-point count, the Postnikov-Stanley indegree
-specialization for netflow (1,0,...,0,-1), and an independent Ehrhart
-interpolation oracle that uses nothing but Kostant evaluations.
+Implements the Baldoni-Vergne composition-indexed (Lidskii) expansions of the
+normalized volume and of the lattice-point count, the Postnikov-Stanley
+indegree specialization for netflow (1,0,...,0,-1), and an independent
+Ehrhart interpolation oracle that uses nothing but Kostant evaluations.
+
+A Lidskii sum is not evaluated term by term.  Its composition parts are
+chosen inside a single Kostant flow sweep (`flowcat.core._flow_sweep`): the
+state carries the part of the budget N-n still to be placed, and each vertex
+weights the part it takes.  Graphs with dead ends are first reduced to the
+vertices that reach the sink, where the expansions hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Sequence
+from math import comb, factorial
+from typing import Callable, Sequence
 
-from .compositions import binomial, multinomial, weak_compositions
-from .core import Multigraph, degree_offsets, kostant
+from .compositions import binomial
+from .core import Multigraph, _flow_sweep, degree_offsets, kostant
 
 
 class NotFullDimensionalError(ValueError):
@@ -33,60 +39,80 @@ def _check_netflow(G: Multigraph, netflow: Sequence[int]) -> tuple[int, ...]:
     return a
 
 
-def lidskii_volume(G: Multigraph, netflow: Sequence[int], prune: bool = True) -> int:
-    """Normalized volume of F_G(netflow) as a weak-composition sum.
+def lidskii_volume(G: Multigraph, netflow: Sequence[int]) -> int:
+    """Normalized volume of F_G(netflow) as a Lidskii composition sum.
 
     vol = sum over i |= N-n of multinomial(N-n; i) * prod a_k^{i_k}
           * K_{G'}(i - t), with G' the restriction to [n] and t the outdegree
-    offsets.  With prune=True, compositions putting weight on a zero netflow
-    entry are skipped outright (their term vanishes since 0^positive = 0).
+    offsets, after dead ends are dropped (see `_lidskii_sweep`).  Vertex k
+    takes i_k of the rem units left with weight binom(rem, i_k) * a_k^{i_k};
+    the product of these is the multinomial term, and a vertex with a_k = 0
+    takes nothing.
     """
-    a = _check_netflow(G, netflow)
-    if not G.is_connected():
-        raise ValueError("graph must be connected")
-    n = G.vertex_count - 1
-    N = G.edge_count
-    t, _ = degree_offsets(G)
-    Gp = G.restriction(n)
-    mask = [x > 0 for x in a[:n]] if prune else None
-    total = 0
-    for comp in weak_compositions(N - n, n, mask):
-        coeff = multinomial(N - n, comp)
-        for ak, ik in zip(a, comp):
-            coeff *= ak**ik  # 0**0 == 1, as the expansion requires
-            if coeff == 0:
-                break
-        if coeff == 0:
-            continue
-        k = kostant(Gp, tuple(ik - tk for ik, tk in zip(comp, t)))
-        total += coeff * k
-    return total
+    return _lidskii_sweep(
+        G, netflow,
+        cap=lambda ak, tk, budget: budget if ak > 0 else 0,
+        weight=lambda ak, tk, rem, i: comb(rem, i) * ak**i,
+    )
 
 
 def lidskii_points(G: Multigraph, netflow: Sequence[int]) -> int:
     """Lattice-point count of F_G(netflow) as a binomial-weighted sum.
 
-    Equals K_G(netflow) exactly; the two routes are compared in the tests.
+    points = sum over i |= N-n of prod binom(a_k + t_k, i_k) * K_{G'}(i - t),
+    after dead ends are dropped (see `_lidskii_sweep`).  Then every t_k >= 0,
+    so the binomial vanishes for i_k > a_k + t_k.  Equals K_G(netflow)
+    exactly; the two routes are compared in the tests.
+    """
+    return _lidskii_sweep(
+        G, netflow,
+        cap=lambda ak, tk, budget: ak + tk,
+        weight=lambda ak, tk, rem, i: binomial(ak + tk, i),
+    )
+
+
+def _lidskii_sweep(
+    G: Multigraph,
+    netflow: Sequence[int],
+    cap: Callable[[int, int, int], int],
+    weight: Callable[[int, int, int, int], int],
+) -> int:
+    """Sum over weak compositions i of N-n, with i_k <= cap(a_k, t_k, N-n),
+    of prod_k weight(a_k, t_k, rem_k, i_k) * K_{G'}(i - t), in one flow
+    sweep over G' (rem_k is what is left of N-n before vertex k).
+
+    The formulas need every vertex before the sink to reach the sink, which
+    also makes the graph connected.  An edge whose head cannot reach the
+    sink carries zero flow, so such edges are dropped together with the
+    vertices they leave isolated, and the rest are relabelled in order;
+    the lattice points stay the same.  A dropped vertex with positive
+    netflow makes the polytope empty, and the sum is 0.
     """
     a = _check_netflow(G, netflow)
-    if not G.is_connected():
-        raise ValueError("graph must be connected")
+    n1 = G.vertex_count
+    reaches = [False] * n1 + [True]
+    for i, j, _ in reversed(G.edges):
+        reaches[i] = reaches[i] or reaches[j]
+    if any(x > 0 and not r for x, r in zip(a, reaches[1:])):
+        return 0
+    kept = [v for v in range(1, n1 + 1) if reaches[v]]
+    label = {v: k for k, v in enumerate(kept, 1)}
+    G = Multigraph(len(kept), tuple(
+        (label[i], label[j], m) for i, j, m in G.edges if reaches[j]
+    ))
+    a = tuple(a[v - 1] for v in kept)
     n = G.vertex_count - 1
-    N = G.edge_count
+    if n == 0:
+        return 1  # the polytope is the zero flow
     t, _ = degree_offsets(G)
-    Gp = G.restriction(n)
-    total = 0
-    for comp in weak_compositions(N - n, n):
-        coeff = 1
-        for ak, tk, ik in zip(a, t, comp):
-            coeff *= binomial(ak + tk, ik)
-            if coeff == 0:
-                break
-        if coeff == 0:
-            continue
-        k = kostant(Gp, tuple(ik - tk for ik, tk in zip(comp, t)))
-        total += coeff * k
-    return total
+    budget = G.edge_count - n
+    return _flow_sweep(
+        G.restriction(n),
+        tuple(-tk for tk in t),
+        budget,
+        [cap(ak, tk, budget) for ak, tk in zip(a, t)],
+        lambda v, rem, i: weight(a[v - 1], t[v - 1], rem, i),
+    )
 
 
 def ps_volume(G: Multigraph) -> int:

@@ -86,8 +86,33 @@ class TestVolume:
         assert code == 0
         assert json.loads(out)["volume"] == "1"
 
+    def test_constant_term_only_when_asked(self, capsys, monkeypatch):
+        def eager(*args):
+            raise AssertionError("tesler_ct ran without --method ct")
+
+        monkeypatch.setattr("flowcat.cli.tesler_ct", eager)
+        code, out, _ = run(
+            capsys,
+            "volume", "--graph", "tesler:5,1,1", "--netflow", "1,1,1,1,-4",
+            "--method", "lidskii", "--method", "closed",
+        )
+        assert code == 0
+        assert json.loads(out)["agreement"] is True
+
 
 class TestPoints:
+    def test_dead_end_graph(self, capsys, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"vertices": 3, "edges": [[1, 2, 1], [1, 3, 2]]}))
+        code, out, _ = run(
+            capsys,
+            "points", "--graph", f"file:{path}", "--netflow", "1,0,-1",
+            "--method", "lidskii", "--method", "kostant",
+        )
+        assert code == 0
+        assert json.loads(out)["points"] == "2"
+        assert json.loads(out)["agreement"] is True
+
     def test_routes_agree(self, capsys):
         code, out, _ = run(
             capsys,
