@@ -9,29 +9,21 @@ from math import comb, factorial
 from typing import Iterator, Sequence
 
 
-def weak_compositions(
-    total: int,
-    parts: int,
-    support_mask: Sequence[bool] | None = None,
-) -> Iterator[tuple[int, ...]]:
+def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Yield every weak composition of `total` into `parts` parts, once each.
 
-    Positions where `support_mask` is False are forced to zero.  Compositions
-    come out in colexicographic order (last coordinate varies slowest).
+    Compositions come out in colexicographic order (last coordinate varies
+    slowest).
     """
     if total < 0 or parts < 0:
         raise ValueError("total and parts must be nonnegative")
-    if support_mask is not None and len(support_mask) != parts:
-        raise ValueError("support_mask length must equal parts")
 
     def gen(t: int, k: int) -> Iterator[tuple[int, ...]]:
         if k == 0:
             if t == 0:
                 yield ()
             return
-        allowed = True if support_mask is None else support_mask[k - 1]
-        last_range = range(t + 1) if allowed else range(1)
-        for last in last_range:
+        for last in range(t + 1):
             for rest in gen(t - last, k - 1):
                 yield rest + (last,)
 

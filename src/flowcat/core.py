@@ -8,14 +8,17 @@ independent slots.
 
 K_G is evaluated by one exact sweep over the vertices that pushes each
 vertex's supply over its out-edges one edge at a time (`_flow_sweep`).  The
-Lidskii sums of `flowcat.lidskii` run through the same sweep, choosing each
-vertex's composition part inside it.
+sweep is the one counting engine of the package: the Lidskii sums of
+`flowcat.lidskii` run through it, choosing each vertex's composition part
+inside it, and so do the constant terms of `flowcat.ctengine`, as Kostant
+partition functions of a graph with one extra sink vertex whose start
+states carry the whole numerator.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .compositions import compositions_weight
@@ -99,34 +102,6 @@ class Multigraph:
                    tuple(tuple(int(x) for x in e) for e in data["edges"]))
 
 
-@dataclass(frozen=True)
-class NetflowVector:
-    """Integer netflow (a_1, ..., a_n, -sum a_i); entries must sum to zero."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        entries = tuple(int(x) for x in self.entries)
-        if sum(entries) != 0:
-            raise ValueError("netflow entries must sum to zero")
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def from_prefix(cls, prefix: Sequence[int]) -> "NetflowVector":
-        prefix = tuple(int(x) for x in prefix)
-        return cls(prefix + (-sum(prefix),))
-
-    @property
-    def prefix(self) -> tuple[int, ...]:
-        return self.entries[:-1]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
 def complete_graph(vertices: int) -> Multigraph:
     """K_{n+1}: every pair (i, j), i < j, once."""
     edges = tuple(
@@ -165,31 +140,6 @@ def tesler_graph(vertices: int, a: int, b: int) -> Multigraph:
     return Multigraph(n1, tuple(edges))
 
 
-def build_graph(kind: str, params: Sequence) -> Multigraph:
-    """Build a graph by family name.
-
-    kind is one of "complete", "morris", "tesler", "custom"; params carries
-    the family parameters ([n+1], [n+1,a,b,m], [n+1,a,b], or an edge list).
-    """
-    if kind == "complete":
-        if len(params) != 1:
-            raise ValueError("complete expects a single parameter n+1")
-        return complete_graph(int(params[0]))
-    if kind == "morris":
-        if len(params) != 4:
-            raise ValueError("morris expects parameters n+1, a, b, m")
-        return morris_graph(*(int(p) for p in params))
-    if kind == "tesler":
-        if len(params) != 3:
-            raise ValueError("tesler expects parameters n+1, a, b")
-        return tesler_graph(*(int(p) for p in params))
-    if kind == "custom":
-        edges = tuple(tuple(int(x) for x in e) for e in params)
-        top = max((j for _, j, *_ in edges), default=1)
-        return Multigraph(top, edges)
-    raise ValueError(f"unknown graph kind {kind!r}")
-
-
 def degree_offsets(G: Multigraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(t, d) with t_i = outdeg(i) - 1 over the first n vertices and
     d_i = indeg(i) - 1 over all vertices, multiplicity weighted."""
@@ -211,29 +161,32 @@ def kostant(G: Multigraph, b: Sequence[int]) -> int:
         raise ValueError("vector length must equal the vertex count")
     if sum(b) != 0:
         return 0
-    return _flow_sweep(G, b)
+    return _flow_sweep(G, {b: 1})
 
 
 def _flow_sweep(
     G: Multigraph,
-    base: Sequence[int],
+    start: dict[tuple[int, ...], int],
     budget: int = 0,
     caps: Sequence[int] | None = None,
     weight: Callable[[int, int, int], int] | None = None,
 ) -> int:
     """Weighted count of integer flows on G, one out-edge at a time.
 
-    Vertex v first takes a part i_v of a shared budget and has netflow
-    base[v-1] + i_v.  The parts sum to `budget`, and i_v <= caps[v-1]; the
-    flow is weighted by the product of weight(v, rem, i_v), rem being the
-    budget left before vertex v.  With no budget this is K_G(base).
+    `start` maps netflow vectors to coefficients, and the result is the
+    coefficient-weighted sum of the counts for each of them.  Vertex v
+    first takes a part i_v of a shared budget and has netflow b_v + i_v.
+    The parts sum to `budget`, and i_v <= caps[v-1]; the flow is weighted by
+    the product of weight(v, rem, i_v), rem being the budget left before
+    vertex v.  With no budget this is sum_b start[b] * K_G(b).
 
     The sweep visits the vertices in order.  A state is the budget left and
-    the pending inflow of the vertices not yet visited.  A vertex's supply
-    (its netflow plus its inflow) is pushed over its out-edges one edge at
-    a time; flow f on an edge of multiplicity m has weight C(f+m-1, m-1),
-    and the last out-edge takes whatever supply is left.  States whose
-    budget the remaining vertices cannot absorb are dropped.
+    the pending inflow of the vertices not yet visited, which starts as
+    their netflow.  A vertex's supply (its pending inflow) is pushed over
+    its out-edges one edge at a time; flow f on an edge of multiplicity m
+    has weight C(f+m-1, m-1), and the last out-edge takes whatever supply
+    is left.  States whose budget the remaining vertices cannot absorb are
+    dropped.
     """
     n1 = G.vertex_count
     caps = caps if caps is not None else (0,) * n1
@@ -245,9 +198,9 @@ def _flow_sweep(
         room[v] = min(budget, room[v + 1] + caps[v - 1])
 
     # state key: (budget left, pending inflow of v, ..., of n1)
-    states: dict[tuple[int, ...], int] = {(budget,) + (0,) * n1: 1}
+    states = {(budget,) + b: c for b, c in start.items()}
     for v in range(1, n1 + 1):
-        cap, later, bv = caps[v - 1], room[v + 1], base[v - 1]
+        cap, later = caps[v - 1], room[v + 1]
         parts: dict[int, list[tuple[int, int]]] = {}
         # stage key: (budget left, supply left at v, pending of v+1, ..., n1)
         stage: dict[tuple[int, ...], int] = defaultdict(int)
@@ -259,7 +212,7 @@ def _flow_sweep(
                     (i, w) for i in range(max(0, rem - later), min(rem, cap) + 1)
                     if (w := 1 if weight is None else weight(v, rem, i))
                 ]
-            supply, rest = bv + key[1], key[2:]
+            supply, rest = key[1], key[2:]
             for i, w in choices:
                 if supply + i >= 0:
                     stage[(rem - i, supply + i) + rest] += cnt * w

@@ -9,18 +9,23 @@ coefficients, so the constant term is a weighted count of exponent
 configurations: (1-x_i)^{-b} contributes x_i^{r} with weight equal to the
 number of matrix rows of length b summing to r, and each power of the
 Vandermonde pole contributes hook-sum exponents of an upper triangular
-matrix with staircase diagonal.  The engine counts those configurations by
-dynamic programming over variables, eliminating x_1 first.
+matrix with staircase diagonal.  Following Baldoni and Vergne, those
+configurations are the integer flows of a graph with one extra sink vertex,
+so the constant term is a sum of Kostant partition function values, one per
+numerator monomial.  It runs through the package's one flow sweep
+(`flowcat.core._flow_sweep`), once per integrand, with the numerator's
+monomials as its start states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from collections import defaultdict
+from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
 
-from .compositions import compositions_weight, multinomial, weak_compositions
+from .compositions import multinomial, weak_compositions
+from .core import Multigraph, _flow_sweep
 
 
 @dataclass(frozen=True)
@@ -124,62 +129,30 @@ class MatrixGrid:
         return right - down
 
 
-@lru_cache(maxsize=None)
-def _count_balanced(
-    net: tuple[int, ...], one_minus: tuple[int, ...], vand: int
-) -> int:
-    """Weighted number of ways to cancel the exponent vector `net`.
-
-    Chooses r_i >= 0 with weight C(r_i + b_i - 1, b_i - 1) and K_{i,j} >= 0
-    (i < j) with weight C(K + m - 1, m - 1) such that for every i:
-
-        net_i + r_i + sum_{j>i} K_{i,j} - sum_{j<i} (K_{j,i} + m) = 0.
-
-    The DP walks variables left to right; the state is the tuple of K totals
-    already routed to each later variable.
-    """
-    n = len(net)
-    # pend[0] is the K total already routed to the current variable
-    states: dict[tuple[int, ...], int] = {(0,) * n: 1}
-    for i in range(n):
-        later = n - 1 - i
-        new: dict[tuple[int, ...], int] = {}
-        for pend, cnt in states.items():
-            supply = -net[i] + pend[0] + i * vand
-            rest = pend[1:]
-            if supply < 0:
-                continue
-            b = one_minus[i]
-            for comp in weak_compositions(supply, later + 1):
-                r, ks = comp[0], comp[1:]
-                w = cnt * compositions_weight(r, b)
-                if w == 0:
-                    continue
-                if vand == 0 and any(ks):
-                    continue
-                for k in ks:
-                    w *= compositions_weight(k, vand)
-                    if w == 0:
-                        break
-                if w == 0:
-                    continue
-                nxt = tuple(p + k for p, k in zip(rest, ks))
-                new[nxt] = new.get(nxt, 0) + w
-        states = new
-        if not states:
-            return 0
-    return states.get((), 0)
-
-
 def constant_term(f: CTIntegrand) -> int:
-    """CT_{x_n} ... CT_{x_1} of the integrand, exactly."""
-    b = f.one_minus_pole
-    m = f.vandermonde_power
-    total = 0
+    """CT_{x_n} ... CT_{x_1} of the integrand, exactly.
+
+    A configuration picks r_i >= 0 from (1-x_i)^{-b_i}, with weight
+    C(r_i+b_i-1, b_i-1), and K_{i,j} >= 0 (i < j) from the m factors
+    1/(x_j-x_i), with weight C(K_{i,j}+m-1, m-1).  It hits the constant
+    term of x^e times the poles exactly when, for every i,
+
+        (i-1)m + a_i - e_i + sum_{j<i} K_{j,i} = r_i + sum_{j>i} K_{i,j},
+
+    so it is an integer flow on the graph on n+1 vertices with edges (i, j)
+    of multiplicity m for i < j <= n and (i, n+1) of multiplicity b_i,
+    where vertex i has netflow (i-1)m + a_i - e_i.  The sweep weights each
+    flow by the same binomials.  The whole numerator enters as its start
+    states, so one sweep covers every monomial.
+    """
+    n, m = f.n_vars, f.vandermonde_power
+    edges = [(i, j, m) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges += [(i, n + 1, b) for i, b in enumerate(f.one_minus_pole, 1)]
+    start: dict[tuple[int, ...], int] = defaultdict(int)
     for coeff, exps in f.numerator:
-        net = tuple(e - a for e, a in zip(exps, f.x_pole))
-        total += coeff * _count_balanced(net, b, m)
-    return total
+        net = tuple(i * m + a - e for i, (a, e) in enumerate(zip(f.x_pole, exps)))
+        start[net + (-sum(net),)] += coeff
+    return _flow_sweep(Multigraph(n + 1, tuple(edges)), start)
 
 
 def catalan_polytope_ct(n: int) -> int:

@@ -8,17 +8,11 @@ sit in the support of a.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-DEFAULT_MAX_CELLS = 28  # shifted staircase of order 7
-MAX_CELLS_ENV = "FLOWCAT_MAX_CELLS"
-
-
-def _max_cells() -> int:
-    raw = os.environ.get(MAX_CELLS_ENV)
-    return int(raw) if raw else DEFAULT_MAX_CELLS
+# Enumeration builds every tableau: n = 6 takes seconds, n = 7 over a minute.
+MAX_N = 6
 
 
 @dataclass(frozen=True)
@@ -106,9 +100,7 @@ class DecreasingForest:
         return out
 
 
-def enumerate_tableaux(
-    a: Sequence[int], max_n: int | None = None
-) -> list[tuple[TeslerTableau, int]]:
+def enumerate_tableaux(a: Sequence[int]) -> list[tuple[TeslerTableau, int]]:
     """Every a-valid Tesler tableau with its dimension, each exactly once.
 
     Rows are filled top to bottom.  Once rows 1..j-1 are fixed, row j is
@@ -120,10 +112,8 @@ def enumerate_tableaux(
     n = len(a)
     if any(x < 0 for x in a):
         raise ValueError("netflow prefix entries must be nonnegative")
-    cells = n * (n + 1) // 2
-    limit = max_n if max_n is not None else 7
-    if n > limit or cells > _max_cells():
-        raise ValueError(f"enumeration bound exceeded for n={n}")
+    if n > MAX_N:
+        raise ValueError(f"face enumeration supports n <= {MAX_N}, got n={n}")
 
     out: list[tuple[TeslerTableau, int]] = []
     rows: list[tuple[int, ...]] = []

@@ -108,7 +108,7 @@ def _lidskii_sweep(
     budget = G.edge_count - n
     return _flow_sweep(
         G.restriction(n),
-        tuple(-tk for tk in t),
+        {tuple(-tk for tk in t): 1},
         budget,
         [cap(ak, tk, budget) for ak, tk in zip(a, t)],
         lambda v, rem, i: weight(a[v - 1], t[v - 1], rem, i),

@@ -22,6 +22,7 @@ from .closedform import (
 from .compositions import compositions_weight
 from .core import Multigraph, complete_graph, kostant, morris_graph, tesler_graph
 from .ctengine import (
+    CTIntegrand,
     MatrixGrid,
     catalan_polytope_ct,
     morris_ct,
@@ -133,16 +134,21 @@ def suite_reduction_identity(max_n: int = 5) -> list[CheckResult]:
 
 
 def _series_histogram(
-    n: int, b: int, m: int, box: int, bound: int
+    f: CTIntegrand, box: int, bound: int
 ) -> dict[tuple[int, ...], int]:
-    """Coefficients of prod (1-x_i)^{-b} prod_{i<j} (x_j-x_i)^{-m} on the box
-    sum|e_i| <= box, by truncated Laurent-series multiplication.
+    """Coefficients of the integrand f on the box sum|e_i| <= box, by
+    truncated Laurent-series multiplication; the constant term is the zero
+    coefficient at box 0.
 
-    Each pole factor is truncated at `bound` terms; states that cannot be
-    pulled back into the box by the remaining factors are pruned.
+    Each pole factor is truncated at `bound` terms, with the same
+    1/(x_j - x_i) = x_j^{-1} sum_k (x_i/x_j)^k convention as the CT engine;
+    states that cannot be pulled back into the box by the remaining factors
+    are pruned.  Truncation is exact once `bound` is at least every term
+    index that reaches the box; callers check stability in `bound`.
     """
+    n = f.n_vars
     factors: list[list[tuple[tuple[int, ...], int]]] = []
-    for i in range(n):
+    for i, b in enumerate(f.one_minus_pole):
         if b > 0:
             terms = []
             for r in range(bound + 1):
@@ -152,7 +158,7 @@ def _series_histogram(
             factors.append(terms)
     for i in range(n):
         for j in range(i + 1, n):
-            for _ in range(m):
+            for _ in range(f.vandermonde_power):
                 terms = []
                 for k in range(bound + 1):
                     e = [0] * n
@@ -171,7 +177,10 @@ def _series_histogram(
             suffix_lo[idx][v] = suffix_lo[idx + 1][v] + lo[v]
             suffix_hi[idx][v] = suffix_hi[idx + 1][v] + hi[v]
 
-    states: dict[tuple[int, ...], int] = {(0,) * n: 1}
+    states: dict[tuple[int, ...], int] = {}
+    for c, exps in f.numerator:
+        e = tuple(x - a for x, a in zip(exps, f.x_pole))
+        states[e] = states.get(e, 0) + c
     for idx, terms in enumerate(factors):
         new: dict[tuple[int, ...], int] = {}
         for e, c in states.items():
@@ -258,8 +267,10 @@ def suite_series_expansion(max_n: int = 3) -> list[CheckResult]:
     box = 5
     for n in range(1, max_n + 1):
         for b, m in product((0, 1, 2), repeat=2):
-            series = _series_histogram(n, b, m, box, bound=12)
-            series_hi = _series_histogram(n, b, m, box, bound=14)
+            f = CTIntegrand(n, ((1, (0,) * n),), one_minus_pole=(b,) * n,
+                            vandermonde_power=m)
+            series = _series_histogram(f, box, bound=12)
+            series_hi = _series_histogram(f, box, bound=14)
             matrices = _matrix_histogram(n, b, m, box, bound=12)
             out.append(CheckResult(
                 f"n={n} b={b} m={m} truncation stable", series, series_hi

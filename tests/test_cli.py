@@ -162,6 +162,13 @@ class TestFvector:
                            "--format", "json")
         assert json.loads(out)["f_vector"] == ["2", "1"]
 
+    def test_rejects_n_above_face_bound(self, capsys):
+        # n = 7 cannot be enumerated in a minute; the bound is checked first
+        code, out, err = run(capsys, "fvector", "--netflow", "1,1,0,0,0,0,0")
+        assert code == 1
+        assert out == ""
+        assert "n <= 6" in err
+
 
 class TestCt:
     def test_file_input(self, capsys, tmp_path):

@@ -24,13 +24,6 @@ def test_weak_compositions_zero_parts():
     assert list(weak_compositions(3, 0)) == []
 
 
-def test_support_mask_restricts():
-    mask = [True, False, True]
-    comps = list(weak_compositions(4, 3, mask))
-    assert all(c[1] == 0 for c in comps)
-    assert len(comps) == comb(4 + 1, 1)
-
-
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=4))
 def test_multinomial_matches_factorials(parts):
     total = sum(parts)

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from flowcat.core import (
     Multigraph,
-    NetflowVector,
-    build_graph,
     complete_graph,
     degree_offsets,
     kostant,
@@ -102,22 +100,6 @@ class TestFamilies:
         G = morris_graph(5, 1, 1, 1)
         K = complete_graph(5)
         assert set(K.edges) - set(G.edges) == {(1, 5, 1)}
-
-    def test_build_graph_dispatch(self):
-        assert build_graph("complete", [4]) == complete_graph(4)
-        assert build_graph("morris", [4, 1, 2, 1]) == morris_graph(4, 1, 2, 1)
-        assert build_graph("tesler", [4, 1, 2]) == tesler_graph(4, 1, 2)
-        with pytest.raises(ValueError):
-            build_graph("wheel", [4])
-
-
-class TestNetflowVector:
-    def test_sum_zero_enforced(self):
-        with pytest.raises(ValueError):
-            NetflowVector((1, 1))
-        v = NetflowVector.from_prefix((2, 0, 1))
-        assert v.entries == (2, 0, 1, -3)
-        assert v.prefix == (2, 0, 1)
 
 
 class TestDegreeOffsets:

@@ -17,49 +17,40 @@ from flowcat.ctengine import (
     tesler_ct,
     verify_reduction_bijection,
 )
+from flowcat.verify import _series_histogram
 
 
 def series_ct(f: CTIntegrand, bound: int) -> int:
-    """Truncated Laurent-series oracle for the constant term.
+    """The constant term as the zero coefficient of the truncated
+    Laurent-series oracle at box 0; callers check stability in `bound`."""
+    return _series_histogram(f, 0, bound).get((0,) * f.n_vars, 0)
 
-    Multiplies out every factor as an explicit exponent-vector dict with the
-    same 1/(x_j - x_i) = x_j^{-1} sum (x_i/x_j)^k convention, truncating each
-    geometric series at `bound` terms, and reads off the zero coefficient.
-    Correct whenever bound is large enough; callers check stability.
-    """
-    n = f.n_vars
 
-    def mul(h1, h2):
-        out = {}
-        for e1, c1 in h1.items():
-            for e2, c2 in h2.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return out
+@st.composite
+def integrands(draw, n: int, m: int) -> CTIntegrand:
+    """A random integrand on n variables with Vandermonde power m: a few
+    monomials with signed coefficients and exponents, often repeating an
+    exponent vector, and per-variable poles, where a zero (1-x_i) pole
+    leaves vertex i without a sink edge."""
+    exps = draw(st.lists(st.tuples(*[st.integers(-2, 3)] * n),
+                         min_size=1, max_size=3))
+    numerator = draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.sampled_from(exps)),
+        min_size=1, max_size=4,
+    ))
+    x_pole = draw(st.tuples(*[st.integers(-1, 2)] * n))
+    one_minus_pole = draw(st.tuples(*[st.integers(0, 2)] * n))
+    return CTIntegrand(n, tuple(numerator), x_pole, one_minus_pole, m)
 
-    acc = {}
-    for c, exps in f.numerator:
-        e = tuple(a - p for a, p in zip(exps, f.x_pole))
-        acc[e] = acc.get(e, 0) + c
-    for i, b in enumerate(f.one_minus_pole):
-        for _ in range(b):
-            term = {}
-            for r in range(bound + 1):
-                e = [0] * n
-                e[i] = r
-                term[tuple(e)] = 1
-            acc = mul(acc, term)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for _ in range(f.vandermonde_power):
-                term = {}
-                for k in range(bound + 1):
-                    e = [0] * n
-                    e[i] = k
-                    e[j] = -k - 1
-                    term[tuple(e)] = 1
-                acc = mul(acc, term)
-    return acc.get((0,) * n, 0)
+
+def flow_bound(f: CTIntegrand) -> int:
+    """The largest total positive netflow (i-1)m + a_i - e_i over the
+    monomials; no series term of a higher index reaches the constant term."""
+    m = f.vandermonde_power
+    return max(
+        sum(max(0, i * m + a - e) for i, (a, e) in enumerate(zip(f.x_pole, exps)))
+        for _, exps in f.numerator
+    )
 
 
 class TestConstantTerm:
@@ -78,20 +69,22 @@ class TestConstantTerm:
         st.integers(0, 2),
         st.integers(0, 2),
         st.integers(0, 2),
+        st.data(),
     )
-    def test_matches_series_oracle(self, n, a, b, m):
-        f = CTIntegrand(
+    def test_matches_series_oracle(self, n, a, b, m, data):
+        uniform = CTIntegrand(
             n,
             ((1, (0,) * n),),
             x_pole=(a,) * n,
             one_minus_pole=(b,) * n,
             vandermonde_power=m,
         )
-        bound = 3 * (a + 1) * n
-        lo = series_ct(f, bound)
-        hi = series_ct(f, bound + 2)
-        assert lo == hi, "series truncation not stable"
-        assert constant_term(f) == lo
+        mixed = data.draw(integrands(n, m))
+        for f, bound in ((uniform, 3 * (a + 1) * n), (mixed, flow_bound(mixed))):
+            lo = series_ct(f, bound)
+            hi = series_ct(f, bound + 2)
+            assert lo == hi, "series truncation not stable"
+            assert constant_term(f) == lo
 
     def test_mixed_numerator_against_series(self):
         f = CTIntegrand(
