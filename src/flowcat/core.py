@@ -8,11 +8,14 @@ independent slots.
 
 K_G is evaluated by one exact sweep over the vertices that pushes each
 vertex's supply over its out-edges one edge at a time (`_flow_sweep`).  The
-sweep is the one counting engine of the package: the Lidskii sums of
-`flowcat.lidskii` run through it, choosing each vertex's composition part
-inside it, and so do the constant terms of `flowcat.ctengine`, as Kostant
+sweep is the one counting engine of the package.  It can also share a
+budget among the vertices: each vertex takes a part of it, which is
+subtracted from its netflow.  The Lidskii sums of `flowcat.lidskii` run
+through it on the reversed graph, with their composition parts as that
+budget, and so do the constant terms of `flowcat.ctengine`, as Kostant
 partition functions of a graph with one extra sink vertex whose start
-states carry the whole numerator.
+states carry the numerator and whose budget is a power numerator
+(x_{i1} + ... + x_{ik})^p.
 """
 
 from __future__ import annotations
@@ -68,27 +71,6 @@ class Multigraph:
 
     def in_degree(self, v: int) -> int:
         return sum(m for _, j, m in self.edges if j == v)
-
-    def restriction(self, k: int) -> "Multigraph":
-        """The induced subgraph on vertices 1..k."""
-        return Multigraph(k, tuple(e for e in self.edges if e[1] <= k))
-
-    def is_connected(self) -> bool:
-        """Weak connectivity (single vertex counts as connected)."""
-        if self.vertex_count == 1:
-            return True
-        adj: dict[int, set[int]] = defaultdict(set)
-        for i, j, _ in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        seen = {1}
-        stack = [1]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertex_count
 
     def to_json_dict(self) -> dict:
         return {
@@ -175,10 +157,11 @@ def _flow_sweep(
 
     `start` maps netflow vectors to coefficients, and the result is the
     coefficient-weighted sum of the counts for each of them.  Vertex v
-    first takes a part i_v of a shared budget and has netflow b_v + i_v.
-    The parts sum to `budget`, and i_v <= caps[v-1]; the flow is weighted by
-    the product of weight(v, rem, i_v), rem being the budget left before
-    vertex v.  With no budget this is sum_b start[b] * K_G(b).
+    first takes a part i_v of a shared budget, which is subtracted from its
+    netflow: it has netflow b_v - i_v.  The parts sum to `budget`, and
+    i_v <= caps[v-1]; the flow is weighted by the product of
+    weight(v, rem, i_v), rem being the budget left before vertex v.  With
+    no budget this is sum_b start[b] * K_G(b).
 
     The sweep visits the vertices in order.  A state is the budget left and
     the pending inflow of the vertices not yet visited, which starts as
@@ -214,8 +197,8 @@ def _flow_sweep(
                 ]
             supply, rest = key[1], key[2:]
             for i, w in choices:
-                if supply + i >= 0:
-                    stage[(rem - i, supply + i) + rest] += cnt * w
+                if supply >= i:
+                    stage[(rem - i, supply - i) + rest] += cnt * w
         edges = out[v]
         if not edges:
             stage = {k[:1] + k[2:]: c for k, c in stage.items() if k[1] == 0}

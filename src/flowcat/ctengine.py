@@ -14,7 +14,10 @@ configurations are the integer flows of a graph with one extra sink vertex,
 so the constant term is a sum of Kostant partition function values, one per
 numerator monomial.  It runs through the package's one flow sweep
 (`flowcat.core._flow_sweep`), once per integrand, with the numerator's
-monomials as its start states.
+monomials as its start states.  A power numerator (x_{i1}+...+x_{ik})^p,
+as in the Catalan, Tesler and reduction-identity integrands, is not
+expanded: it is the sweep's budget p, shared by those variables
+(`_power_ct`).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
 
-from .compositions import multinomial, weak_compositions
+from .compositions import weak_compositions
 from .core import Multigraph, _flow_sweep
 
 
@@ -145,14 +148,29 @@ def constant_term(f: CTIntegrand) -> int:
     flow by the same binomials.  The whole numerator enters as its start
     states, so one sweep covers every monomial.
     """
+    return _power_ct(f, (), 0)
+
+
+def _power_ct(f: CTIntegrand, support: Sequence[int], power: int) -> int:
+    """CT of (sum_{i in support} x_i)^power times the integrand f.
+
+    The power is not expanded: it is the flow sweep's budget.  Vertex v of
+    the graph of `constant_term` takes a part p_v <= power (0 off the
+    support and at the sink), the exponent of x_v in the power, which the
+    sweep subtracts from its netflow; the weights binom(rem, p_v) multiply
+    to the multinomial coefficient.  Each monomial's start netflow omits
+    the power, and the sink's is power minus the others.
+    """
     n, m = f.n_vars, f.vandermonde_power
     edges = [(i, j, m) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     edges += [(i, n + 1, b) for i, b in enumerate(f.one_minus_pole, 1)]
     start: dict[tuple[int, ...], int] = defaultdict(int)
     for coeff, exps in f.numerator:
         net = tuple(i * m + a - e for i, (a, e) in enumerate(zip(f.x_pole, exps)))
-        start[net + (-sum(net),)] += coeff
-    return _flow_sweep(Multigraph(n + 1, tuple(edges)), start)
+        start[net + (power - sum(net),)] += coeff
+    caps = [power if v in support else 0 for v in range(1, n + 2)]
+    return _flow_sweep(Multigraph(n + 1, tuple(edges)), start, power, caps,
+                       lambda v, rem, i: comb(rem, i))
 
 
 def catalan_polytope_ct(n: int) -> int:
@@ -163,16 +181,8 @@ def catalan_polytope_ct(n: int) -> int:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    top = comb(n, 2)
-    numerator = []
-    for t in range(top + 1):
-        exps = [0] * n
-        exps[n - 2] = t
-        exps[n - 1] = top - t
-        numerator.append((comb(top, t), tuple(exps)))
-    return constant_term(
-        CTIntegrand(n, tuple(numerator), vandermonde_power=1)
-    )
+    f = CTIntegrand(n, ((1, (0,) * n),), vandermonde_power=1)
+    return _power_ct(f, (n - 1, n), comb(n, 2))
 
 
 def morris_ct(n: int, a: int, b: int, m: int) -> int:
@@ -198,17 +208,9 @@ def tesler_ct(n: int, a: int, b: int) -> int:
     power = a * comb(n, 2) + n * (b - 1)
     if power < 0:
         raise ValueError("numerator exponent is negative")
-    numerator = tuple(
-        (multinomial(power, comp), comp) for comp in weak_compositions(power, n)
-    )
-    return constant_term(
-        CTIntegrand(
-            n,
-            numerator,
-            x_pole=(b - 1,) * n,
-            vandermonde_power=a,
-        )
-    )
+    f = CTIntegrand(n, ((1, (0,) * n),), x_pole=(b - 1,) * n,
+                    vandermonde_power=a)
+    return _power_ct(f, range(1, n + 1), power)
 
 
 def reduction_identity_sides(n: int, a_vec: Sequence[int]) -> tuple[int, int]:
@@ -232,22 +234,10 @@ def reduction_identity_sides(n: int, a_vec: Sequence[int]) -> tuple[int, int]:
     if R < 0:
         return 0, 0
 
-    monomials: dict[tuple[int, ...], int] = {}
-    base = list(a_vec[: n - 2]) + [0, 0]
-    for t in range(R + 1):
-        for pair in ((a_vec[n - 2], a_vec[n - 1]), (a_vec[n - 1], a_vec[n - 2])):
-            exps = list(base)
-            exps[n - 2] += t + pair[0]
-            exps[n - 1] += R - t + pair[1]
-            key = tuple(exps)
-            monomials[key] = monomials.get(key, 0) + comb(R, t)
-    lhs = constant_term(
-        CTIntegrand(
-            n,
-            tuple((c, e) for e, c in monomials.items()),
-            vandermonde_power=1,
-        )
-    )
+    head, pair = a_vec[: n - 2], a_vec[n - 2:]
+    f = CTIntegrand(n, ((1, head + pair), (1, head + pair[::-1])),
+                    vandermonde_power=1)
+    lhs = _power_ct(f, (n - 1, n), R)
 
     if n == 2:
         rhs_ct = 1
@@ -255,7 +245,7 @@ def reduction_identity_sides(n: int, a_vec: Sequence[int]) -> tuple[int, int]:
         rhs_ct = constant_term(
             CTIntegrand(
                 n - 2,
-                ((1, a_vec[: n - 2]),),
+                ((1, head),),
                 one_minus_pole=(2,) * (n - 2),
                 vandermonde_power=1,
             )

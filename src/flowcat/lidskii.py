@@ -8,8 +8,12 @@ Ehrhart interpolation oracle that uses nothing but Kostant evaluations.
 A Lidskii sum is not evaluated term by term.  Its composition parts are
 chosen inside a single Kostant flow sweep (`flowcat.core._flow_sweep`): the
 state carries the part of the budget N-n still to be placed, and each vertex
-weights the part it takes.  Graphs with dead ends are first reduced to the
-vertices that reach the sink, where the expansions hold.
+weights the part it takes.  The sweep subtracts a vertex's part from its
+netflow, so it runs on the reversed graph, where the term K_{G'}(i - t)
+reads K_{G'^rev}(rev(t - i)); placing the parts from the sink end keeps the
+states few.  Graphs with dead ends are first reduced to the vertices that
+reach the sink, where the expansions hold; the Ehrhart oracle uses the same
+reduction.
 """
 
 from __future__ import annotations
@@ -71,6 +75,28 @@ def lidskii_points(G: Multigraph, netflow: Sequence[int]) -> int:
     )
 
 
+def _drop_dead_ends(
+    G: Multigraph, a: tuple[int, ...]
+) -> tuple[Multigraph, tuple[int, ...]] | None:
+    """G and its netflow a on the vertices that reach the sink, relabelled
+    in order, or None when a dropped vertex has positive netflow (the
+    polytope is empty).  An edge whose head cannot reach the sink carries
+    zero flow, so the lattice points stay the same; the reduced graph is
+    connected, since every vertex left reaches the sink."""
+    n1 = G.vertex_count
+    reaches = [False] * n1 + [True]
+    for i, j, _ in reversed(G.edges):
+        reaches[i] = reaches[i] or reaches[j]
+    if any(x > 0 and not r for x, r in zip(a, reaches[1:])):
+        return None
+    kept = [v for v in range(1, n1 + 1) if reaches[v]]
+    label = {v: k for k, v in enumerate(kept, 1)}
+    reduced = Multigraph(len(kept), tuple(
+        (label[i], label[j], m) for i, j, m in G.edges if reaches[j]
+    ))
+    return reduced, tuple(a[v - 1] for v in kept)
+
+
 def _lidskii_sweep(
     G: Multigraph,
     netflow: Sequence[int],
@@ -79,40 +105,32 @@ def _lidskii_sweep(
 ) -> int:
     """Sum over weak compositions i of N-n, with i_k <= cap(a_k, t_k, N-n),
     of prod_k weight(a_k, t_k, rem_k, i_k) * K_{G'}(i - t), in one flow
-    sweep over G' (rem_k is what is left of N-n before vertex k).
+    sweep (rem_k is what is left of N-n when vertex k takes its part).
 
-    The formulas need every vertex before the sink to reach the sink, which
-    also makes the graph connected.  An edge whose head cannot reach the
-    sink carries zero flow, so such edges are dropped together with the
-    vertices they leave isolated, and the rest are relabelled in order;
-    the lattice points stay the same.  A dropped vertex with positive
-    netflow makes the polytope empty, and the sum is 0.
+    The formulas need every vertex before the sink to reach the sink, so G
+    is first reduced by `_drop_dead_ends`; an empty polytope gives 0.  The
+    sweep runs on the reversed restriction G'^rev, with the edges
+    (n+1-j, n+1-i) for i < j <= n, where K_{G'}(i - t) = K_{G'^rev}(rev(t - i)):
+    vertex n+1-k starts with netflow t_k and its part i_k is subtracted.
+    The product of the binom(rem, i_k) factors is the multinomial in any
+    vertex order.
     """
-    a = _check_netflow(G, netflow)
-    n1 = G.vertex_count
-    reaches = [False] * n1 + [True]
-    for i, j, _ in reversed(G.edges):
-        reaches[i] = reaches[i] or reaches[j]
-    if any(x > 0 and not r for x, r in zip(a, reaches[1:])):
+    reduced = _drop_dead_ends(G, _check_netflow(G, netflow))
+    if reduced is None:
         return 0
-    kept = [v for v in range(1, n1 + 1) if reaches[v]]
-    label = {v: k for k, v in enumerate(kept, 1)}
-    G = Multigraph(len(kept), tuple(
-        (label[i], label[j], m) for i, j, m in G.edges if reaches[j]
-    ))
-    a = tuple(a[v - 1] for v in kept)
+    G, a = reduced
     n = G.vertex_count - 1
     if n == 0:
         return 1  # the polytope is the zero flow
     t, _ = degree_offsets(G)
     budget = G.edge_count - n
-    return _flow_sweep(
-        G.restriction(n),
-        {tuple(-tk for tk in t): 1},
-        budget,
-        [cap(ak, tk, budget) for ak, tk in zip(a, t)],
-        lambda v, rem, i: weight(a[v - 1], t[v - 1], rem, i),
-    )
+    rev = Multigraph(n, tuple(
+        (n + 1 - j, n + 1 - i, m) for i, j, m in G.edges if j <= n
+    ))
+    a, t = a[n - 1::-1], t[::-1]
+    return _flow_sweep(rev, {t: 1}, budget,
+                       [cap(ak, tk, budget) for ak, tk in zip(a, t)],
+                       lambda v, rem, i: weight(a[v - 1], t[v - 1], rem, i))
 
 
 def ps_volume(G: Multigraph) -> int:
@@ -163,43 +181,28 @@ def has_interior_flow(G: Multigraph, netflow: Sequence[int]) -> bool:
     the sink.  Averaging witnesses gives a point positive on every edge.
     """
     a = _check_netflow(G, netflow)
-    n1 = G.vertex_count
-    succ: dict[int, set[int]] = {v: set() for v in range(1, n1 + 1)}
-    for i, j, _ in G.edges:
-        succ[i].add(j)
-
-    def reaches(src: int, dst: int) -> bool:
-        if src == dst:
-            return True
-        seen, stack = {src}, [src]
-        while stack:
-            for w in succ[stack.pop()]:
-                if w == dst:
-                    return True
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
-
-    sources = [v for v in range(1, n1) if a[v - 1] > 0]
-    for i, j, _ in G.edges:
-        if not any(reaches(s, i) for s in sources):
-            return False
-        if not reaches(j, n1):
-            return False
-    return True
+    fed = [False] + [x > 0 for x in a]  # some positive supply reaches v
+    for i, j, _ in G.edges:  # sorted, so fed[i] is final at i's out-edges
+        fed[j] = fed[j] or fed[i]
+    drains = [False] * G.vertex_count + [True]  # v reaches the sink
+    for i, j, _ in reversed(G.edges):
+        drains[i] = drains[i] or drains[j]
+    return all(fed[i] and drains[j] for i, j, _ in G.edges)
 
 
 def ehrhart_polynomial(G: Multigraph, netflow: Sequence[int]) -> EhrhartPolynomial:
     """Interpolate t -> K_G(t * netflow) at t = 0..N-n, exactly.
 
-    Verifies the interpolant at two extra nodes; a mismatch there, or the
-    absence of a strictly positive flow, means the polytope is not
-    full-dimensional and NotFullDimensionalError is raised.
+    G is first reduced by `_drop_dead_ends`, which keeps every K_G(t * a),
+    so N and n are those of the reduced graph.  Verifies the interpolant at
+    two extra nodes; a mismatch there, an empty polytope or the absence of
+    a strictly positive flow means the polytope is not full-dimensional and
+    NotFullDimensionalError is raised.
     """
-    a = _check_netflow(G, netflow)
-    if not G.is_connected():
-        raise ValueError("graph must be connected")
+    reduced = _drop_dead_ends(G, _check_netflow(G, netflow))
+    if reduced is None:
+        raise NotFullDimensionalError("the polytope is empty")
+    G, a = reduced
     d = G.edge_count - (G.vertex_count - 1)
     if not has_interior_flow(G, a):
         raise NotFullDimensionalError(

@@ -115,7 +115,12 @@ def suite_morris_identity(max_n: int = 4) -> list[CheckResult]:
 
 
 def suite_reduction_identity(max_n: int = 5) -> list[CheckResult]:
-    """Two-sided CT reduction identity and its bijection, over small vectors."""
+    """Two-sided CT reduction identity and its bijection, over small vectors.
+
+    The bijection is enumerated for n <= 5 only, so a larger max_n is
+    rejected before any work is done."""
+    if max_n > 5:
+        raise ValueError("the reduction bijection is enumerated for max_n <= 5 only")
     out = []
     for n in range(2, max_n + 1):
         for a_vec in product((-1, 0, 1, 2), repeat=n):
@@ -133,6 +138,39 @@ def suite_reduction_identity(max_n: int = 5) -> list[CheckResult]:
 # --- series-vs-matrix expansion check ---------------------------------------
 
 
+def _box_product(
+    start: dict[tuple[int, ...], int],
+    factors: Sequence[dict[tuple[int, ...], int]],
+    box: int,
+) -> dict[tuple[int, ...], int]:
+    """Coefficients of start times every factor on the box sum|e_i| <= box.
+
+    Factors map exponent vectors to coefficients and are multiplied in one
+    at a time; a term of a partial product is dropped when the remaining
+    factors' per-variable least and greatest shifts cannot bring it back
+    into the box.
+    """
+    n = len(next(iter(start), ()))
+    # lo[k], hi[k]: per-variable least and greatest shift of factors k, k+1, ...
+    lo, hi = [(0,) * n], [(0,) * n]
+    for h in reversed(factors):
+        lo.append(tuple(x + min(e[v] for e in h) for v, x in enumerate(lo[-1])))
+        hi.append(tuple(x + max(e[v] for e in h) for v, x in enumerate(hi[-1])))
+    lo.reverse()
+    hi.reverse()
+    states = dict(start)
+    for k, h in enumerate(factors):
+        new: dict[tuple[int, ...], int] = {}
+        for e, c in states.items():
+            for te, tc in h.items():
+                ne = tuple(x + y for x, y in zip(e, te))
+                if all(x + a <= box and x + b >= -box
+                       for x, a, b in zip(ne, lo[k + 1], hi[k + 1])):
+                    new[ne] = new.get(ne, 0) + c * tc
+        states = new
+    return {e: c for e, c in states.items() if sum(abs(x) for x in e) <= box}
+
+
 def _series_histogram(
     f: CTIntegrand, box: int, bound: int
 ) -> dict[tuple[int, ...], int]:
@@ -141,96 +179,45 @@ def _series_histogram(
     coefficient at box 0.
 
     Each pole factor is truncated at `bound` terms, with the same
-    1/(x_j - x_i) = x_j^{-1} sum_k (x_i/x_j)^k convention as the CT engine;
-    states that cannot be pulled back into the box by the remaining factors
-    are pruned.  Truncation is exact once `bound` is at least every term
-    index that reaches the box; callers check stability in `bound`.
+    1/(x_j - x_i) = x_j^{-1} sum_k (x_i/x_j)^k convention as the CT engine,
+    and the product is pruned to the box (`_box_product`).  Truncation is
+    exact once `bound` is at least every term index that reaches the box;
+    callers check stability in `bound`.
     """
     n = f.n_vars
-    factors: list[list[tuple[tuple[int, ...], int]]] = []
-    for i, b in enumerate(f.one_minus_pole):
-        if b > 0:
-            terms = []
-            for r in range(bound + 1):
-                e = [0] * n
-                e[i] = r
-                terms.append((tuple(e), compositions_weight(r, b)))
-            factors.append(terms)
+    factors = [
+        {tuple(r * (v == i) for v in range(n)): compositions_weight(r, b)
+         for r in range(bound + 1)}
+        for i, b in enumerate(f.one_minus_pole) if b > 0
+    ]
     for i in range(n):
         for j in range(i + 1, n):
-            for _ in range(f.vandermonde_power):
-                terms = []
-                for k in range(bound + 1):
-                    e = [0] * n
-                    e[i] = k
-                    e[j] = -k - 1
-                    terms.append((tuple(e), 1))
-                factors.append(terms)
-
-    # per-variable reachable shift from the remaining factors, for pruning
-    suffix_lo = [[0] * n for _ in range(len(factors) + 1)]
-    suffix_hi = [[0] * n for _ in range(len(factors) + 1)]
-    for idx in range(len(factors) - 1, -1, -1):
-        lo = [min(t[0][v] for t in factors[idx]) for v in range(n)]
-        hi = [max(t[0][v] for t in factors[idx]) for v in range(n)]
-        for v in range(n):
-            suffix_lo[idx][v] = suffix_lo[idx + 1][v] + lo[v]
-            suffix_hi[idx][v] = suffix_hi[idx + 1][v] + hi[v]
-
-    states: dict[tuple[int, ...], int] = {}
+            x_i_over_x_j = {  # x_j^{-1} (x_i/x_j)^k
+                tuple(k * (v == i) - (k + 1) * (v == j) for v in range(n)): 1
+                for k in range(bound + 1)
+            }
+            factors += [x_i_over_x_j] * f.vandermonde_power
+    start: dict[tuple[int, ...], int] = {}
     for c, exps in f.numerator:
         e = tuple(x - a for x, a in zip(exps, f.x_pole))
-        states[e] = states.get(e, 0) + c
-    for idx, terms in enumerate(factors):
-        new: dict[tuple[int, ...], int] = {}
-        for e, c in states.items():
-            for te, tc in terms:
-                ne = tuple(a + b2 for a, b2 in zip(e, te))
-                ok = all(
-                    ne[v] + suffix_lo[idx + 1][v] <= box
-                    and ne[v] + suffix_hi[idx + 1][v] >= -box
-                    for v in range(n)
-                )
-                if ok:
-                    new[ne] = new.get(ne, 0) + c * tc
-        states = new
-    return {
-        e: c for e, c in states.items() if sum(abs(x) for x in e) <= box
-    }
+        start[e] = start.get(e, 0) + c
+    return _box_product(start, factors, box)
 
 
 def _matrix_histogram(
     n: int, b: int, m: int, box: int, bound: int
 ) -> dict[tuple[int, ...], int]:
     """Same coefficients from explicit matrix tuples: rectangular matrices
-    contribute row sums, staircase upper triangular matrices hook sums."""
-    from itertools import product as iproduct
-
-    def convolve(h1, h2):
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in h1.items():
-            for e2, c2 in h2.items():
-                e = tuple(a + b2 for a, b2 in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return out
-
-    hist: dict[tuple[int, ...], int] = {(0,) * n: 1}
-    if b > 0:
-        # rows of an n x b matrix are independent; realize each as a grid
-        for i in range(n):
-            part: dict[tuple[int, ...], int] = {}
-            for row in iproduct(range(bound + 1), repeat=b):
-                M = MatrixGrid(1, b, (row,))
-                e = [0] * n
-                e[i] = M.row_sum(1)
-                key = tuple(e)
-                part[key] = part.get(key, 0) + 1
-            hist = convolve(hist, part)
-
+    contribute row sums, staircase upper triangular matrices hook sums.
+    The factors are multiplied with the same pruning to the box
+    (`_box_product`)."""
+    # hook sums first: the row sums after them only add, so every partial
+    # term already above the box is dropped at once
+    factors: list[dict[tuple[int, ...], int]] = []
     if m > 0 and n > 1:
         free = [(i, j) for i in range(n) for j in range(i + 1, n)]
         single: dict[tuple[int, ...], int] = {}
-        for vals in iproduct(range(bound + 1), repeat=len(free)):
+        for vals in product(range(bound + 1), repeat=len(free)):
             grid = [[0] * n for _ in range(n)]
             for i in range(n):
                 grid[i][i] = i
@@ -240,12 +227,21 @@ def _matrix_histogram(
                            upper_triangular=True, staircase_diagonal=True)
             key = tuple(M.hook_sum(k) for k in range(1, n + 1))
             single[key] = single.get(key, 0) + 1
-        for _ in range(m):
-            hist = convolve(hist, single)
+        factors += [single] * m
 
-    return {
-        e: c for e, c in hist.items() if sum(abs(x) for x in e) <= box
-    }
+    if b > 0:
+        # rows of an n x b matrix are independent; realize each as a grid
+        for i in range(n):
+            part: dict[tuple[int, ...], int] = {}
+            for row in product(range(bound + 1), repeat=b):
+                M = MatrixGrid(1, b, (row,))
+                e = [0] * n
+                e[i] = M.row_sum(1)
+                key = tuple(e)
+                part[key] = part.get(key, 0) + 1
+            factors.append(part)
+
+    return _box_product({(0,) * n: 1}, factors, box)
 
 
 def suite_series_expansion(max_n: int = 3) -> list[CheckResult]:

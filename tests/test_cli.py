@@ -199,6 +199,17 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "nope")
         assert code == 1
 
+    def test_lemma_gen_rejects_max_n_above_5_before_any_work(
+        self, capsys, monkeypatch
+    ):
+        def work(*args):
+            raise AssertionError("the suite started before checking --max-n")
+
+        monkeypatch.setattr("flowcat.verify.reduction_identity_sides", work)
+        code, _, err = run(capsys, "verify", "--suite", "lemma-gen", "--max-n", "6")
+        assert code == 1
+        assert "max_n <= 5" in err
+
 
 class TestParsing:
     def test_missing_subcommand(self, capsys):

@@ -72,14 +72,6 @@ class TestMultigraph:
         data = json.loads(json.dumps(G.to_json_dict()))
         assert Multigraph.from_json_dict(data) == G
 
-    def test_restriction(self):
-        G = complete_graph(5)
-        assert G.restriction(3) == complete_graph(3)
-
-    def test_connectivity(self):
-        assert complete_graph(4).is_connected()
-        assert not Multigraph(3, ((1, 2, 1),)).is_connected()
-
 
 class TestFamilies:
     def test_complete_edge_count(self):

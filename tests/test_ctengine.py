@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowcat.closedform import tesler_unit_volume
+from flowcat.compositions import multinomial, weak_compositions
 from flowcat.ctengine import (
     BijectionReport,
     CTIntegrand,
     MatrixGrid,
+    _power_ct,
     catalan_polytope_ct,
     constant_term,
     morris_ct,
@@ -86,6 +89,23 @@ class TestConstantTerm:
             assert lo == hi, "series truncation not stable"
             assert constant_term(f) == lo
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2), st.integers(0, 6), st.data())
+    def test_power_numerator_as_budget(self, n, m, p, data):
+        """CT of (sum_{i in S} x_i)^p * f with the power as the sweep's
+        budget, against constant_term on the expanded numerator."""
+        f = data.draw(integrands(n, m))
+        support = data.draw(st.lists(st.integers(1, n), unique=True))
+        expanded = []
+        for coeff, exps in f.numerator:
+            for comp in weak_compositions(p, len(support)):
+                e = list(exps)
+                for v, k in zip(support, comp):
+                    e[v - 1] += k
+                expanded.append((coeff * multinomial(p, comp), tuple(e)))
+        g = CTIntegrand(n, tuple(expanded), f.x_pole, f.one_minus_pole, m)
+        assert _power_ct(f, support, p) == constant_term(g)
+
     def test_mixed_numerator_against_series(self):
         f = CTIntegrand(
             2,
@@ -131,6 +151,7 @@ class TestNamedIntegrands:
     def test_tesler_small_values(self):
         assert tesler_ct(2, 1, 1) == 1
         assert tesler_ct(3, 1, 1) == 4
+        assert tesler_ct(9, 1, 1) == tesler_unit_volume(9)
 
 
 class TestMatrixGrid:
