@@ -38,7 +38,6 @@ from .faces import (
     DecreasingForest,
     TeslerTableau,
     catalan_polytope_vertices,
-    enumerate_tableaux,
     f_vector,
     forest_to_tableau,
     tableau_dimension,
@@ -77,7 +76,6 @@ __all__ = [
     "cry_product",
     "degree_offsets",
     "ehrhart_polynomial",
-    "enumerate_tableaux",
     "f_vector",
     "forest_to_tableau",
     "gamma_half",

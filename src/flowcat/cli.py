@@ -23,7 +23,7 @@ from .closedform import (
 )
 from .core import Multigraph, complete_graph, kostant, morris_graph, tesler_graph
 from .ctengine import CTIntegrand, catalan_polytope_ct, constant_term, morris_ct, tesler_ct
-from .faces import f_vector, tableau_to_forest, vertex_tableaux
+from .faces import MAX_N, f_vector, tableau_to_forest, vertex_tableaux
 from .lidskii import ehrhart_polynomial, lidskii_points, lidskii_volume
 from .verify import SUITES
 
@@ -65,11 +65,15 @@ def _parse_graph(spec: str) -> tuple[str, tuple[int, ...], Multigraph]:
     raise CLIError(f"unrecognized graph spec: {spec!r}")
 
 
-def _parse_netflow(raw: str, G: Multigraph) -> tuple[int, ...]:
+def _parse_ints(raw: str) -> tuple[int, ...]:
     try:
-        vec = tuple(int(tok) for tok in raw.split(","))
+        return tuple(int(tok) for tok in raw.split(","))
     except ValueError:
         raise CLIError(f"netflow must be a comma separated integer list: {raw!r}")
+
+
+def _parse_netflow(raw: str, G: Multigraph) -> tuple[int, ...]:
+    vec = _parse_ints(raw)
     if len(vec) != G.vertex_count:
         raise CLIError(
             f"netflow length {len(vec)} does not match vertex count {G.vertex_count}"
@@ -165,27 +169,14 @@ def _cmd_points(args, out) -> int:
     return _run_methods(args, compute, "points", out)
 
 
-def _parse_prefix(raw: str) -> tuple[int, ...]:
-    try:
-        vec = tuple(int(tok) for tok in raw.split(","))
-    except ValueError:
-        raise CLIError(f"netflow must be a comma separated integer list: {raw!r}")
-    if any(x < 0 for x in vec):
-        raise CLIError("netflow prefix entries must be nonnegative")
-    return vec
-
-
 def _cmd_vertices(args, out) -> int:
-    a = _parse_prefix(args.netflow)
+    a = _parse_ints(args.netflow)
     tableaux = vertex_tableaux(a)
-    if args.count_only:
-        if args.format == "json":
-            _emit({"count": str(len(tableaux))}, "json", out)
-        else:
-            print(len(tableaux), file=out)
+    if args.count_only and args.format != "json":
+        print(len(tableaux), file=out)
         return 0
     payload: dict[str, object] = {"count": str(len(tableaux))}
-    if args.enumerate:
+    if args.enumerate and not args.count_only:
         payload["tableaux"] = [[list(row) for row in T.rows] for T in tableaux]
         payload["forests"] = [
             tableau_to_forest(T).parent_array(len(a)) for T in tableaux
@@ -195,7 +186,7 @@ def _cmd_vertices(args, out) -> int:
 
 
 def _cmd_fvector(args, out) -> int:
-    a = _parse_prefix(args.netflow)
+    a = _parse_ints(args.netflow)
     fv = f_vector(a)
     if args.format == "json":
         _emit({"f_vector": [str(v) for v in fv]}, "json", out)
@@ -293,7 +284,7 @@ def build_parser() -> _Parser:
         help="the size of each suite; default in brackets. thm1, cry, thm2, "
              "thm3, morris: largest n [5, 7, 4, 3, 4]. lemma-gen: largest n, "
              "at most 5 [5]. lemma-expand: largest number of variables [3]. "
-             "faces: largest r+s of the 2^(r+1) 3^s vertex checks, at most 4 "
+             f"faces: largest r+s of the 2^(r+1) 3^s vertex checks, at most {MAX_N - 2} "
              "[4]. lidskii-vs-ehrhart: most vertices of a graph [5]")
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(fn=_cmd_verify)

@@ -9,10 +9,11 @@ sit in the support of a.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import zip_longest
+from typing import Sequence
 
-# Enumeration builds every tableau: n = 6 takes seconds, n = 7 over a minute.
-MAX_N = 6
+# Listing the n! vertices of the all-ones prefix takes 2 s at n = 8, 21 s at n = 9.
+MAX_N = 8
 
 
 @dataclass(frozen=True)
@@ -91,65 +92,57 @@ class DecreasingForest:
     def parent_array(self, n: int) -> list[int | None]:
         """Length-n serialization: parent label, 0 for a root, None if the
         vertex is absent from the forest."""
-        out: list[int | None] = []
-        for v in range(1, n + 1):
-            if v not in self.vertices:
-                out.append(None)
-            else:
-                out.append(self.parents.get(v, 0))
-        return out
+        return [self.parents.get(v, 0) if v in self.vertices else None
+                for v in range(1, n + 1)]
 
 
-def enumerate_tableaux(a: Sequence[int]) -> list[tuple[TeslerTableau, int]]:
-    """Every a-valid Tesler tableau with its dimension, each exactly once.
-
-    Rows are filled top to bottom.  Once rows 1..j-1 are fixed, row j is
-    forced all-zero when a_j = 0 and column j holds no 1, and forced nonzero
-    otherwise when a_j > 0 or column j holds a 1; the three validity
-    conditions reduce to exactly this row-local dichotomy.
-    """
+def _checked_prefix(a: Sequence[int]) -> tuple[int, ...]:
     a = tuple(int(x) for x in a)
-    n = len(a)
     if any(x < 0 for x in a):
         raise ValueError("netflow prefix entries must be nonnegative")
-    if n > MAX_N:
-        raise ValueError(f"face enumeration supports n <= {MAX_N}, got n={n}")
+    if len(a) > MAX_N:
+        raise ValueError(f"faces are computed for n <= {MAX_N}, got n={len(a)}")
+    return a
 
-    out: list[tuple[TeslerTableau, int]] = []
-    rows: list[tuple[int, ...]] = []
 
-    def rec(i: int) -> None:
-        if i > n:
-            T = TeslerTableau(n, tuple(rows))
-            out.append((T, tableau_dimension(T)))
-            return
-        width = n - i + 1
-        # cell (k+1, i) lives at rows[k][i - (k+1)]
-        col_has_one = any(rows[k][i - (k + 1)] for k in range(i - 1))
-        must_fill = a[i - 1] > 0 or col_has_one
-        if not must_fill:
-            rows.append((0,) * width)
-            rec(i + 1)
-            rows.pop()
-            return
-        for pattern in range(1, 1 << width):
-            row = tuple((pattern >> b) & 1 for b in range(width))
-            rows.append(row)
-            rec(i + 1)
-            rows.pop()
-
-    rec(1)
-    return out
+def _merge(states: dict, key: object, counts: list[int]) -> None:
+    states[key] = [
+        x + y for x, y in zip_longest(states.get(key, ()), counts, fillvalue=0)
+    ]
 
 
 def f_vector(a: Sequence[int]) -> list[int]:
-    """Face counts of F_{K_{n+1}}(a') indexed by dimension."""
-    pairs = enumerate_tableaux(a)
-    top = max(d for _, d in pairs)
-    out = [0] * (top + 1)
-    for _, d in pairs:
-        out[d] += 1
-    return out
+    """Face counts of F_{K_{n+1}}(a') indexed by dimension.
+
+    Rows are filled top to bottom.  Row i must be zero when a_i = 0 and
+    column i holds no 1, and nonzero otherwise; the three validity conditions
+    reduce to this rule.  So a state is the bitmask of the columns that hold
+    a 1, mapped to its counts by dimension.  A forced row is filled one cell
+    at a time, with a flag for "the row holds a 1": dimension = ones -
+    nonzero rows, so the row's first 1 adds 0 and every later 1 adds 1.
+    """
+    a = _checked_prefix(a)
+    n = len(a)
+    states: dict[int, list[int]] = {0: [1]}
+    for i in range(1, n + 1):
+        done: dict[int, list[int]] = {}
+        row: dict[tuple[int, bool], list[int]] = {}
+        for mask, counts in states.items():
+            if a[i - 1] > 0 or mask >> i & 1:
+                _merge(row, (mask & ~(1 << i), False), counts)
+            else:
+                _merge(done, mask, counts)
+        for j in range(i, n + 1):
+            bit = 1 << j if j > i else 0
+            filled = dict(row)
+            for (mask, placed), counts in row.items():
+                _merge(filled, (mask | bit, True), [0] + counts if placed else counts)
+            row = filled
+        for (mask, placed), counts in row.items():
+            if placed:
+                _merge(done, mask, counts)
+        states = done
+    return states[0]
 
 
 def tableau_to_forest(T: TeslerTableau) -> DecreasingForest:
@@ -158,11 +151,8 @@ def tableau_to_forest(T: TeslerTableau) -> DecreasingForest:
     if tableau_dimension(T) != 0:
         raise ValueError("only dimension-0 tableaux correspond to forests")
     vertices = frozenset(i for i in range(1, T.n + 1) if T.row_nonzero(i))
-    parents: dict[int, int] = {}
-    for i in vertices:
-        for j in range(i + 1, T.n + 1):
-            if T.cell(i, j):
-                parents[i] = j
+    # each nonzero row holds a single 1; off the diagonal it names the parent
+    parents = {i: i + T.rows[i - 1].index(1) for i in vertices if not T.cell(i, i)}
     return DecreasingForest(vertices, parents)
 
 
@@ -191,5 +181,23 @@ def catalan_polytope_vertices(n: int) -> int:
 
 
 def vertex_tableaux(a: Sequence[int]) -> list[TeslerTableau]:
-    """The dimension-0 a-Tesler tableaux (the polytope's vertices)."""
-    return [T for T, d in enumerate_tableaux(a) if d == 0]
+    """The dimension-0 a-Tesler tableaux (the polytope's vertices).
+
+    Dimension is the sum over nonzero rows of (ones - 1), so a tableau is a
+    vertex exactly when every nonzero row holds a single 1: each forced row
+    (see f_vector) places one 1 and every other row stays zero.
+    """
+    a = _checked_prefix(a)
+    n = len(a)
+    partial: list[tuple[tuple[tuple[int, ...], ...], int]] = [((), 0)]
+    for i in range(1, n + 1):
+        width = n - i + 1
+        extended = []
+        for rows, mask in partial:
+            if a[i - 1] > 0 or mask >> i & 1:
+                extended += [(rows + (tuple(int(c == k) for c in range(width)),),
+                              mask | 1 << (i + k)) for k in range(width)]
+            else:
+                extended.append((rows + ((0,) * width,), mask))
+        partial = extended
+    return [TeslerTableau(n, rows) for rows, _ in partial]

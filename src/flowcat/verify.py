@@ -30,7 +30,7 @@ from .ctengine import (
     tesler_ct,
     verify_reduction_bijection,
 )
-from .faces import vertex_count_formula, vertex_tableaux
+from .faces import MAX_N, vertex_count_formula, vertex_tableaux
 from .lidskii import ehrhart_polynomial, lidskii_points, lidskii_volume, ps_volume
 
 
@@ -343,7 +343,10 @@ def vertices_by_acyclic_support(a: Sequence[int]) -> int:
 
 def suite_faces(max_rs: int = 4, max_n: int = 6) -> list[CheckResult]:
     """Vertex counts: tableau enumeration vs the 2^{r+1} 3^s formula, the
-    2 * 3^{n-2} corollary, and the acyclic-support enumeration."""
+    2 * 3^{n-2} corollary, and the acyclic-support enumeration.  The r, s
+    checks have n = r+s+2, so max_rs > MAX_N - 2 is rejected before any work."""
+    if max_rs > MAX_N - 2:
+        raise ValueError(f"faces are computed for n <= {MAX_N}, so max_rs <= {MAX_N - 2}")
     out = []
     for r in range(max_rs + 1):
         for s in range(max_rs - r + 1):

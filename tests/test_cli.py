@@ -3,6 +3,7 @@ import json
 import pytest
 
 from flowcat.cli import main
+from flowcat.faces import MAX_N
 
 
 def run(capsys, *argv):
@@ -163,11 +164,11 @@ class TestFvector:
         assert json.loads(out)["f_vector"] == ["2", "1"]
 
     def test_rejects_n_above_face_bound(self, capsys):
-        # n = 7 cannot be enumerated in a minute; the bound is checked first
-        code, out, err = run(capsys, "fvector", "--netflow", "1,1,0,0,0,0,0")
+        prefix = ",".join(["1", "1"] + ["0"] * (MAX_N - 1))
+        code, out, err = run(capsys, "fvector", "--netflow", prefix)
         assert code == 1
         assert out == ""
-        assert "n <= 6" in err
+        assert f"n <= {MAX_N}" in err
 
 
 class TestCt:
@@ -209,6 +210,18 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--suite", "lemma-gen", "--max-n", "6")
         assert code == 1
         assert "max_n <= 5" in err
+
+    def test_faces_rejects_max_n_above_bound_before_any_work(
+        self, capsys, monkeypatch
+    ):
+        def work(*args):
+            raise AssertionError("the suite started before checking --max-n")
+
+        monkeypatch.setattr("flowcat.verify.vertex_tableaux", work)
+        code, _, err = run(capsys, "verify", "--suite", "faces",
+                           "--max-n", str(MAX_N - 1))
+        assert code == 1
+        assert f"max_rs <= {MAX_N - 2}" in err
 
 
 class TestParsing:

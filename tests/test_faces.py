@@ -1,12 +1,16 @@
+from collections import Counter
+from itertools import product
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcat.faces import (
+    MAX_N,
     DecreasingForest,
     TeslerTableau,
     catalan_polytope_vertices,
-    enumerate_tableaux,
     f_vector,
     forest_to_tableau,
     tableau_dimension,
@@ -55,26 +59,39 @@ class TestTableau:
         assert tableau_dimension(T) == 4 - 3
 
 
+def assert_matches_brute_force(a):
+    tableaux = brute_enumerate(a)
+    dims = Counter(tableau_dimension(T) for T in tableaux)
+    assert f_vector(a) == [dims[d] for d in range(max(dims) + 1)]
+    vertices = {T.rows for T in tableaux if tableau_dimension(T) == 0}
+    assert {T.rows for T in vertex_tableaux(a)} == vertices
+
+
 class TestEnumeration:
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.integers(0, 2), min_size=1, max_size=4))
-    def test_matches_brute_force(self, a):
-        fast = {T.rows for T, _ in enumerate_tableaux(a)}
-        slow = {T.rows for T in brute_enumerate(a)}
-        assert fast == slow
+    def test_matches_brute_force(self):
+        for n in range(1, 5):
+            for a in product((0, 1, 2), repeat=n):
+                assert_matches_brute_force(a)
+
+    @settings(max_examples=4, deadline=None)
+    @given(st.lists(st.integers(0, 2), min_size=5, max_size=5))
+    def test_matches_brute_force_at_n_5(self, a):
+        assert_matches_brute_force(a)
 
     def test_zero_netflow_single_tableau(self):
-        pairs = enumerate_tableaux((0, 0, 0))
-        assert len(pairs) == 1
-        assert pairs[0][0].ones() == 0
+        assert f_vector((0, 0, 0)) == [1]
+        (T,) = vertex_tableaux((0, 0, 0))
+        assert T.ones() == 0
 
     def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError):
-            enumerate_tableaux((1, -1))
+        for fn in (f_vector, vertex_tableaux):
+            with pytest.raises(ValueError):
+                fn((1, -1))
 
     def test_size_bound(self):
-        with pytest.raises(ValueError):
-            enumerate_tableaux((1,) * 9)
+        for fn in (f_vector, vertex_tableaux):
+            with pytest.raises(ValueError, match=f"n <= {MAX_N}"):
+                fn((1,) * (MAX_N + 1))
 
 
 class TestFVector:
@@ -86,6 +103,16 @@ class TestFVector:
         for n in (2, 3, 4):
             fv = f_vector((1,) * n)
             assert len(fv) - 1 == (n + 1) * n // 2 - n
+            assert fv[-1] == 1
+
+    def test_two_ones_up_to_the_bound(self):
+        # F_{K_{n+1}}(1,1,0,...,0,-2) has dimension C(n,2) and 2*3^(n-2) vertices
+        for n in range(7, MAX_N + 1):
+            a = (1, 1) + (0,) * (n - 2)
+            fv = f_vector(a)
+            assert fv[0] == catalan_polytope_vertices(n) == len(vertex_tableaux(a))
+            assert sum((-1) ** d * c for d, c in enumerate(fv)) == 1
+            assert len(fv) - 1 == comb(n, 2)
             assert fv[-1] == 1
 
     @settings(max_examples=20, deadline=None)
