@@ -49,7 +49,6 @@ from .lidskii import (
     EhrhartPolynomial,
     NotFullDimensionalError,
     ehrhart_polynomial,
-    has_interior_flow,
     lidskii_points,
     lidskii_volume,
     ps_volume,
@@ -79,7 +78,6 @@ __all__ = [
     "f_vector",
     "forest_to_tableau",
     "gamma_half",
-    "has_interior_flow",
     "kostant",
     "lidskii_points",
     "lidskii_volume",

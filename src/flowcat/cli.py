@@ -10,6 +10,7 @@ deterministic: keys sorted, big integers as decimal strings.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from fractions import Fraction
@@ -120,8 +121,9 @@ def _emit(payload: dict[str, object], fmt: str, out) -> None:
         print(json.dumps(payload, sort_keys=True), file=out)
     elif fmt == "csv":
         keys = sorted(payload)
-        print(",".join(keys), file=out)
-        print(",".join(str(payload[k]) for k in keys), file=out)
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerow([payload[k] for k in keys])
     else:
         for k in sorted(payload):
             print(f"{k}: {payload[k]}", file=out)
@@ -163,7 +165,7 @@ def _cmd_points(args, out) -> int:
     netflow = _parse_netflow(args.netflow, G)
     compute = {
         "lidskii": lambda: lidskii_points(G, netflow),
-        "ehrhart": lambda: int(ehrhart_polynomial(G, netflow)(1)),
+        "ehrhart": lambda: ehrhart_polynomial(G, netflow)(1),
         "kostant": lambda: kostant(G, netflow),
     }
     return _run_methods(args, compute, "points", out)
@@ -218,6 +220,7 @@ def _cmd_ct(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    writer = csv.writer(out, lineterminator="\n")
     failed = 0
     for name in names:
         fn = SUITES[name]
@@ -226,7 +229,7 @@ def _cmd_verify(args, out) -> int:
         failed += len(bad)
         if args.format == "csv":
             for r in results:
-                print(f"{name},{r.label},{r.ok},{r.expected},{r.actual}", file=out)
+                writer.writerow([name, r.label, r.ok, r.expected, r.actual])
         else:
             print(f"{name}: {len(results) - len(bad)}/{len(results)} checks passed",
                   file=out)

@@ -3,7 +3,7 @@
 Implements the Baldoni-Vergne composition-indexed (Lidskii) expansions of the
 normalized volume and of the lattice-point count, the Postnikov-Stanley
 indegree specialization for netflow (1,0,...,0,-1), and an independent
-Ehrhart interpolation oracle that uses nothing but Kostant evaluations.
+Ehrhart oracle: the forward differences of Kostant evaluations.
 
 A Lidskii sum is not evaluated term by term.  Its composition parts are
 chosen inside a single Kostant flow sweep (`flowcat.core._flow_sweep`): the
@@ -19,8 +19,7 @@ reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import Callable, Sequence
 
 from .compositions import binomial
@@ -28,8 +27,10 @@ from .core import Multigraph, _flow_sweep, degree_offsets, kostant
 
 
 class NotFullDimensionalError(ValueError):
-    """The flow polytope is not full-dimensional in R^{N-n}, so the
-    interpolation degree would be wrong; raised instead of a bad volume."""
+    """The values K_G(t * a), t = 0..N-n+2, are not those of a polynomial of
+    degree at most N-n, as for an empty polytope; raised instead of a bad
+    polynomial.  A nonempty polytope of dimension below N-n does not raise:
+    its polynomial is exact and its normalized volume is 0."""
 
 
 def _check_netflow(G: Multigraph, netflow: Sequence[int]) -> tuple[int, ...]:
@@ -150,53 +151,33 @@ def ps_volume(G: Multigraph) -> int:
 
 @dataclass(frozen=True)
 class EhrhartPolynomial:
-    """Exact Ehrhart polynomial, constant term first."""
+    """Exact Ehrhart polynomial in the binomial basis: p(t) is the sum of
+    differences[k] * binom(t, k), where differences[k] is the k-th forward
+    difference of p at 0.  All of them are integers."""
 
-    coefficients: tuple[Fraction, ...]
+    differences: tuple[int, ...]
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self.differences) - 1
 
-    def __call__(self, t: int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * t + c
-        return acc
+    def __call__(self, t: int) -> int:
+        return sum(c * binomial(t, k) for k, c in enumerate(self.differences))
 
     @property
     def normalized_volume(self) -> int:
-        lead = self.coefficients[-1] * factorial(self.degree)
-        if lead.denominator != 1:
-            raise ArithmeticError("leading term times degree! is not integral")
-        return int(lead)
-
-
-def has_interior_flow(G: Multigraph, netflow: Sequence[int]) -> bool:
-    """Whether F_G(netflow) contains a strictly positive flow.
-
-    Since every edge points forward and only the last vertex has negative
-    netflow, a flow decomposes into source-to-sink paths; edge (i, j) can
-    carry flow iff some source with positive supply reaches i and j reaches
-    the sink.  Averaging witnesses gives a point positive on every edge.
-    """
-    a = _check_netflow(G, netflow)
-    fed = [False] + [x > 0 for x in a]  # some positive supply reaches v
-    for i, j, _ in G.edges:  # sorted, so fed[i] is final at i's out-edges
-        fed[j] = fed[j] or fed[i]
-    drains = [False] * G.vertex_count + [True]  # v reaches the sink
-    for i, j, _ in reversed(G.edges):
-        drains[i] = drains[i] or drains[j]
-    return all(fed[i] and drains[j] for i, j, _ in G.edges)
+        """degree! times the coefficient of t^degree, the last difference;
+        0 when the polytope has dimension below the degree."""
+        return self.differences[-1]
 
 
 def ehrhart_polynomial(G: Multigraph, netflow: Sequence[int]) -> EhrhartPolynomial:
-    """Interpolate t -> K_G(t * netflow) at t = 0..N-n, exactly.
+    """The polynomial t -> K_G(t * netflow) of degree at most N-n, from the
+    forward differences of its values at t = 0..N-n+2.
 
     G is first reduced by `_drop_dead_ends`, which keeps every K_G(t * a),
-    so N and n are those of the reduced graph.  Verifies the interpolant at
-    two extra nodes; a mismatch there, an empty polytope or the absence of
-    a strictly positive flow means the polytope is not full-dimensional and
+    so N and n are those of the reduced graph.  The differences of order
+    N-n+1 and N-n+2 must vanish; if they do not, or the polytope is empty,
     NotFullDimensionalError is raised.
     """
     reduced = _drop_dead_ends(G, _check_netflow(G, netflow))
@@ -204,38 +185,13 @@ def ehrhart_polynomial(G: Multigraph, netflow: Sequence[int]) -> EhrhartPolynomi
         raise NotFullDimensionalError("the polytope is empty")
     G, a = reduced
     d = G.edge_count - (G.vertex_count - 1)
-    if not has_interior_flow(G, a):
+    row = [kostant(G, tuple(t * x for x in a)) for t in range(d + 3)]
+    differences = []
+    while row:
+        differences.append(row[0])
+        row = [y - x for x, y in zip(row, row[1:])]
+    if differences[d + 1] or differences[d + 2]:
         raise NotFullDimensionalError(
-            "no strictly positive flow exists; the polytope has dimension < N - n"
+            f"the values at t = 0..{d + 2} are not a polynomial of degree <= {d}"
         )
-    values = [kostant(G, tuple(t * x for x in a)) for t in range(d + 3)]
-    coeffs = _lagrange(values[: d + 1])
-    poly = EhrhartPolynomial(tuple(coeffs))
-    for t in (d + 1, d + 2):
-        if poly(t) != values[t]:
-            raise NotFullDimensionalError(
-                f"interpolant fails at t={t}; degree is below {d}"
-            )
-    if d > 0 and poly.coefficients[-1] == 0:
-        raise NotFullDimensionalError("leading Ehrhart coefficient vanishes")
-    return poly
-
-
-def _lagrange(values: Sequence[int]) -> list[Fraction]:
-    """Exact coefficients of the interpolant through (t, values[t]), t=0..d."""
-    d = len(values) - 1
-    coeffs = [Fraction(0)] * (d + 1)
-    for node, val in enumerate(values):
-        # basis polynomial prod_{m != node} (x - m) / (node - m)
-        basis = [Fraction(1)]
-        denom = 1
-        for m in range(d + 1):
-            if m == node:
-                continue
-            basis = [Fraction(0)] + basis
-            for k in range(len(basis) - 1):
-                basis[k] -= m * basis[k + 1]
-            denom *= node - m
-        for k in range(len(basis)):
-            coeffs[k] += Fraction(val, denom) * basis[k]
-    return coeffs
+    return EhrhartPolynomial(tuple(differences[: d + 1]))

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -10,6 +12,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_graph(tmp_path, graph):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    return f"file:{path}"
 
 
 class TestVolume:
@@ -75,13 +83,10 @@ class TestVolume:
         assert code == 1
 
     def test_file_graph(self, capsys, tmp_path):
-        path = tmp_path / "graph.json"
-        path.write_text(json.dumps(
-            {"vertices": 3, "edges": [[1, 2, 1], [1, 3, 1], [2, 3, 1]]}
-        ))
+        graph = {"vertices": 3, "edges": [[1, 2, 1], [1, 3, 1], [2, 3, 1]]}
         code, out, _ = run(
             capsys,
-            "volume", "--graph", f"file:{path}", "--netflow", "1,1,-2",
+            "volume", "--graph", write_graph(tmp_path, graph), "--netflow", "1,1,-2",
             "--format", "json",
         )
         assert code == 0
@@ -101,13 +106,81 @@ class TestVolume:
         assert json.loads(out)["agreement"] is True
 
 
-class TestPoints:
-    def test_dead_end_graph(self, capsys, tmp_path):
-        path = tmp_path / "graph.json"
-        path.write_text(json.dumps({"vertices": 3, "edges": [[1, 2, 1], [1, 3, 2]]}))
+class TestBelowFullDimension:
+    """Polytopes with an edge forced to 0: the Ehrhart route agrees with
+    the others instead of rejecting them."""
+
+    def test_segment_volume(self, capsys, tmp_path):
         code, out, _ = run(
             capsys,
-            "points", "--graph", f"file:{path}", "--netflow", "1,0,-1",
+            "volume", "--graph",
+            write_graph(tmp_path, {"vertices": 3, "edges": [[1, 2, 1], [2, 3, 2]]}),
+            "--netflow", "0,1,-1", "--method", "lidskii", "--method", "ehrhart",
+        )
+        assert code == 0
+        assert json.loads(out)["volume"] == "1"
+        assert json.loads(out)["agreement"] is True
+
+    def test_zero_supply_source_volume(self, capsys, tmp_path):
+        graph = {"vertices": 4, "edges": [[1, 4, 1], [2, 3, 1], [2, 4, 2], [3, 4, 1]]}
+        code, out, _ = run(
+            capsys,
+            "volume", "--graph", write_graph(tmp_path, graph),
+            "--netflow", "0,2,2,-4", "--method", "lidskii", "--method", "ehrhart",
+        )
+        assert code == 0
+        assert json.loads(out)["volume"] == "4"
+        assert json.loads(out)["agreement"] is True
+
+    def test_lower_dimensional_points(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "points", "--graph", "complete:4", "--netflow", "0,1,0,-1",
+            "--method", "kostant", "--method", "ehrhart",
+        )
+        assert code == 0
+        assert json.loads(out)["points"] == "2"
+        assert json.loads(out)["agreement"] is True
+
+
+class TestCsv:
+    """Fields that hold commas are quoted, so every row parses back to the
+    header's field count."""
+
+    def rows(self, capsys, *argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        return list(csv.reader(io.StringIO(out)))
+
+    def test_volume_methods(self, capsys):
+        header, *rows = self.rows(
+            capsys,
+            "volume", "--graph", "complete:4", "--netflow", "1,1,0,-2",
+            "--method", "lidskii", "--method", "closed", "--format", "csv",
+        )
+        assert rows and all(len(row) == len(header) for row in rows)
+        assert dict(zip(header, rows[0]))["volume"] == "4"
+
+    def test_vertices_enumerate(self, capsys):
+        header, *rows = self.rows(
+            capsys,
+            "vertices", "--netflow", "1,1", "--enumerate", "--format", "csv",
+        )
+        assert rows and all(len(row) == len(header) for row in rows)
+
+    def test_verify_rows(self, capsys):
+        rows = self.rows(capsys, "verify", "--suite", "lemma-gen",
+                         "--max-n", "2", "--format", "csv")
+        assert rows and all(len(row) == 5 for row in rows)
+        assert any("," in row[1] for row in rows)
+
+
+class TestPoints:
+    def test_dead_end_graph(self, capsys, tmp_path):
+        graph = {"vertices": 3, "edges": [[1, 2, 1], [1, 3, 2]]}
+        code, out, _ = run(
+            capsys,
+            "points", "--graph", write_graph(tmp_path, graph), "--netflow", "1,0,-1",
             "--method", "lidskii", "--method", "kostant",
         )
         assert code == 0
