@@ -26,7 +26,6 @@ from .core import (
 )
 from .ctengine import (
     CTIntegrand,
-    MatrixGrid,
     catalan_polytope_ct,
     constant_term,
     morris_ct,
@@ -61,7 +60,6 @@ __all__ = [
     "DecreasingForest",
     "EhrhartPolynomial",
     "GammaHalfValue",
-    "MatrixGrid",
     "Multigraph",
     "NotFullDimensionalError",
     "TeslerTableau",

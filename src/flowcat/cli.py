@@ -225,6 +225,8 @@ def _cmd_verify(args, out) -> int:
     for name in names:
         fn = SUITES[name]
         results = fn(args.max_n) if args.max_n is not None else fn()
+        if not results:
+            raise CLIError(f"suite {name} makes no checks at --max-n {args.max_n}")
         bad = [r for r in results if not r.ok]
         failed += len(bad)
         if args.format == "csv":

@@ -18,6 +18,12 @@ monomials as its start states.  A power numerator (x_{i1}+...+x_{ik})^p,
 as in the Catalan, Tesler and reduction-identity integrands, is not
 expanded: it is the sweep's budget p, shared by those variables
 (`_power_ct`).
+
+The matrix section enumerates those staircase matrices explicitly, as
+tuples of row tuples (a row sum is `sum(row)`, a hook sum `_hook_sum`).
+`staircase_matrices` builds the rows whose hook sums are pinned, and
+`verify_reduction_bijection` checks the drop-two-rows bijection behind
+`reduction_identity_sides` on them.
 """
 
 from __future__ import annotations
@@ -86,50 +92,6 @@ class CTIntegrand:
             one_minus_pole=tuple(data.get("one_minus_pole") or ()),
             vandermonde_power=int(data.get("vandermonde", 0)),
         )
-
-
-@dataclass(frozen=True)
-class MatrixGrid:
-    """Nonnegative integer matrix with the row-sum / hook-sum statistics.
-
-    When upper_triangular and staircase_diagonal are set the matrix belongs
-    to the family with A_{i,i} = i - 1 whose hook-sum generating function
-    expands one power of the Vandermonde pole.
-    """
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-    upper_triangular: bool = False
-    staircase_diagonal: bool = False
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows or any(
-            len(r) != self.cols for r in self.entries
-        ):
-            raise ValueError("entry grid does not match rows x cols")
-        if any(x < 0 for r in self.entries for x in r):
-            raise ValueError("entries must be nonnegative")
-        if self.upper_triangular:
-            for i in range(self.rows):
-                for j in range(min(i, self.cols)):
-                    if self.entries[i][j] != 0:
-                        raise ValueError("entries below the diagonal must be 0")
-        if self.staircase_diagonal:
-            for i in range(min(self.rows, self.cols)):
-                if self.entries[i][i] != i:
-                    raise ValueError("diagonal must be 0, 1, 2, ...")
-
-    def row_sum(self, k: int) -> int:
-        """r_k = sum of row k (1-based)."""
-        return sum(self.entries[k - 1])
-
-    def hook_sum(self, k: int) -> int:
-        """h_k = row k right of the diagonal minus column k down to the
-        diagonal (both 1-based, diagonal included in the column part)."""
-        right = sum(self.entries[k - 1][k:])
-        down = sum(self.entries[j][k - 1] for j in range(min(k, self.rows)))
-        return right - down
 
 
 def constant_term(f: CTIntegrand) -> int:
@@ -256,77 +218,49 @@ def reduction_identity_sides(n: int, a_vec: Sequence[int]) -> tuple[int, int]:
 # --- explicit matrix enumeration and the reduction bijection -----------------
 
 
-def staircase_matrices(
-    rows: int, cols: int, hook_targets: Sequence[int]
-) -> Iterator[MatrixGrid]:
-    """All upper triangular matrices with diagonal 0,1,2,... of the given
-    shape whose first len(hook_targets) hook sums match hook_targets.
+def _hook_sum(rows: Sequence[Sequence[int]], k: int) -> int:
+    """h_k of a matrix given by its rows: row k right of the diagonal minus
+    column k down to the diagonal (both 1-based, diagonal included in the
+    column part)."""
+    return sum(rows[k - 1][k:]) - sum(row[k - 1] for row in rows[:k])
 
-    Rows beyond the targeted ones must carry no free entries (this holds for
-    the square and the cropped shapes used here).
+
+def staircase_matrices(
+    cols: int, hook_targets: Sequence[int]
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The first len(hook_targets) rows of every upper triangular matrix
+    with `cols` columns and diagonal 0, 1, 2, ... whose hook sums h_1, h_2,
+    ... are hook_targets.
+
+    Given the rows above it, h_k fixes the sum of row k's entries right of
+    the diagonal, so the rows are built top down; the rows below the
+    targeted ones are not part of the result.
     """
     targets = tuple(int(h) for h in hook_targets)
-    if rows > len(targets) + (1 if rows == cols else 0):
-        raise ValueError("untargeted rows with free entries are unbounded")
 
-    def rec(i: int, grid: list[list[int]]) -> Iterator[list[list[int]]]:
-        if i > min(len(targets), rows):
-            yield grid
+    def rec(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+        i = len(rows)
+        if i == len(targets):
+            yield rows
             return
-        col_down = sum(grid[j][i - 1] for j in range(i - 1))
-        supply = targets[i - 1] + col_down + (i - 1)
-        free = cols - i
-        if supply < 0 or (free == 0 and supply != 0):
+        supply = targets[i] + i + sum(row[i] for row in rows)
+        if supply < 0:
             return
-        for comp in weak_compositions(supply, free) if free else [()]:
-            row = [0] * cols
-            if i - 1 < cols:
-                row[i - 1] = i - 1
-            for off, val in enumerate(comp):
-                row[i + off] = val
-            grid.append(row)
-            yield from rec(i + 1, grid)
-            grid.pop()
+        for free in weak_compositions(supply, cols - i - 1):
+            yield from rec(rows + ((0,) * i + (i,) + free,))
 
-    for grid in rec(1, []):
-        full = [list(r) for r in grid]
-        for i in range(len(full), rows):
-            row = [0] * cols
-            if i < cols:
-                row[i] = i
-            full.append(row)
-        yield MatrixGrid(
-            rows,
-            cols,
-            tuple(tuple(r) for r in full),
-            upper_triangular=True,
-            staircase_diagonal=True,
-        )
+    return rec(())
 
 
-@dataclass(frozen=True)
-class BijectionReport:
-    """Outcome of checking the two-row-cropping bijection."""
-
-    ok: bool
-    x_size: int
-    x_prime_size: int
-    y_size: int
-    upper: int
-    failures: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_reduction_bijection(n: int, a_vec: Sequence[int]) -> BijectionReport:
+def verify_reduction_bijection(n: int, a_vec: Sequence[int]) -> tuple[str, ...]:
     """Machine-check the bijection behind the CT reduction identity.
 
     Enumerates the square-matrix families X (hook sum h_{n-1} pinned through
     a_{n-1}) and X' (pinned through a_n), the cropped family Y, applies the
     drop-two-rows map (with column swap and index complement on the X' side)
     and verifies it is a bijection onto Y x {0..C(n,2)-a}, with the side
-    selected by exactly one of the two threshold inequalities.
+    selected by exactly one of the two threshold inequalities.  Returns the
+    first 10 failures, so the bijection holds when the result is empty.
     """
     a_vec = tuple(int(x) for x in a_vec)
     if len(a_vec) != n:
@@ -335,47 +269,31 @@ def verify_reduction_bijection(n: int, a_vec: Sequence[int]) -> BijectionReport:
         raise ValueError("enumeration supported for 2 <= n <= 5")
     R = comb(n, 2) - sum(a_vec)
     if R < 0:
-        return BijectionReport(True, 0, 0, 0, -1)
+        return ()
     head = tuple(-x for x in a_vec[: n - 2])
-
-    def enum_window(anchor: int) -> list[MatrixGrid]:
-        out = []
-        for t in range(R + 1):
-            out.extend(staircase_matrices(n, n, head + (-anchor - t,)))
-        return out
-
-    X = enum_window(a_vec[n - 2])
-    Xp = enum_window(a_vec[n - 1])
-    Y = list(staircase_matrices(n - 2, n, head)) if n > 2 else [
-        MatrixGrid(0, n, ())
-    ]
-    y_index = {M.entries: M for M in Y}
+    Y = list(staircase_matrices(n, head))
+    y_set = set(Y)
 
     failures: list[str] = []
-    images: dict[tuple, tuple[str, MatrixGrid]] = {}
-
-    def crop(A: MatrixGrid, swap: bool) -> tuple[tuple[int, ...], ...]:
-        rows = [list(r) for r in A.entries[: n - 2]]
-        if swap:
-            for r in rows:
-                r[n - 2], r[n - 1] = r[n - 1], r[n - 2]
-        return tuple(tuple(r) for r in rows)
-
-    for tag, family, anchor in (("X", X, a_vec[n - 2]), ("X'", Xp, a_vec[n - 1])):
-        for A in family:
-            t = -anchor - A.hook_sum(n - 1)
-            B = crop(A, swap=(tag == "X'"))
-            t_out = t if tag == "X" else R - t
-            if B not in y_index:
-                failures.append(f"{tag}: cropped matrix not in Y")
-                continue
-            if not 0 <= t_out <= R:
-                failures.append(f"{tag}: image index {t_out} out of range")
-                continue
-            key = (B, t_out)
-            if key in images:
-                failures.append(f"duplicate image at index {t_out}")
-            images[key] = (tag, A)
+    images: dict[tuple, str] = {}
+    for tag, anchor in (("X", a_vec[n - 2]), ("X'", a_vec[n - 1])):
+        for t_window in range(R + 1):
+            # rows 1..n-1 of the square matrices; the last row has no free entries
+            for A in staircase_matrices(n, head + (-anchor - t_window,)):
+                t = -anchor - _hook_sum(A, n - 1)
+                B = A[: n - 2]
+                if tag == "X'":
+                    B = tuple(r[: n - 2] + (r[n - 1], r[n - 2]) for r in B)
+                    t = R - t
+                if B not in y_set:
+                    failures.append(f"{tag}: cropped matrix not in Y")
+                    continue
+                if not 0 <= t <= R:
+                    failures.append(f"{tag}: image index {t} out of range")
+                    continue
+                if (B, t) in images:
+                    failures.append(f"duplicate image at index {t}")
+                images[B, t] = tag
 
     if len(images) != len(Y) * (R + 1):
         failures.append(
@@ -383,24 +301,17 @@ def verify_reduction_bijection(n: int, a_vec: Sequence[int]) -> BijectionReport:
         )
 
     for B in Y:
-        c = sum(B.entries[j][n - 2] for j in range(B.rows))
+        c = sum(row[n - 2] for row in B)
         for t in range(R + 1):
             in_x = c + (n - 2) - a_vec[n - 2] - t >= 0
             in_xp = c + (n - 1) - a_vec[n - 2] - t <= 0
             if in_x == in_xp:
                 failures.append(f"threshold dichotomy fails at t={t}")
                 continue
-            got = images.get((B.entries, t))
+            got = images.get((B, t))
             if got is None:
                 failures.append(f"no preimage for index {t}")
-            elif (got[0] == "X") != in_x:
+            elif (got == "X") != in_x:
                 failures.append(f"preimage side mismatch at t={t}")
 
-    return BijectionReport(
-        ok=not failures,
-        x_size=len(X),
-        x_prime_size=len(Xp),
-        y_size=len(Y),
-        upper=R,
-        failures=tuple(failures[:10]),
-    )
+    return tuple(failures[:10])

@@ -284,6 +284,16 @@ class TestVerify:
         assert code == 1
         assert "max_n <= 5" in err
 
+    def test_suite_with_no_checks_is_an_error(self, capsys):
+        for suite, max_n in (("thm1", -1), ("cry", -1), ("thm2", -1),
+                             ("thm3", -1), ("morris", -1), ("lemma-gen", -1),
+                             ("lidskii-vs-ehrhart", -1), ("thm1", 1)):
+            code, out, err = run(capsys, "verify", "--suite", suite,
+                                 "--max-n", str(max_n))
+            assert code == 1
+            assert out == ""
+            assert f"suite {suite} makes no checks" in err
+
     def test_faces_rejects_max_n_above_bound_before_any_work(
         self, capsys, monkeypatch
     ):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowcat.ctengine
 from flowcat.closedform import tesler_unit_volume
 from flowcat.compositions import multinomial, weak_compositions
 from flowcat.ctengine import (
-    BijectionReport,
     CTIntegrand,
-    MatrixGrid,
+    _hook_sum,
     _power_ct,
     catalan_polytope_ct,
     constant_term,
@@ -155,22 +155,14 @@ class TestNamedIntegrands:
 
 
 class TestMatrixGrid:
-    def test_row_and_hook_sums(self):
-        A = MatrixGrid(
-            4, 4, ((4, 2, 5, 7), (0, 1, 2, 3), (0, 0, 1, 8), (0, 0, 0, 3))
-        )
-        assert A.row_sum(2) == 6
-        assert A.row_sum(3) == 9
-        assert A.hook_sum(2) == 2
-        assert A.hook_sum(3) == 0
+    """Matrices as tuples of row tuples, with `_hook_sum` and `sum(row)`."""
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MatrixGrid(2, 2, ((1,), (0, 0)))
-        with pytest.raises(ValueError):
-            MatrixGrid(2, 2, ((0, 0), (1, 0)), upper_triangular=True)
-        with pytest.raises(ValueError):
-            MatrixGrid(2, 2, ((0, 0), (0, 0)), staircase_diagonal=True)
+    def test_row_and_hook_sums(self):
+        A = ((4, 2, 5, 7), (0, 1, 2, 3), (0, 0, 1, 8), (0, 0, 0, 3))
+        assert sum(A[1]) == 6
+        assert sum(A[2]) == 9
+        assert _hook_sum(A, 2) == 2
+        assert _hook_sum(A, 3) == 0
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 4), st.data())
@@ -182,24 +174,48 @@ class TestMatrixGrid:
             entries[i][i] = i
             for j in range(i + 1, n):
                 entries[i][j] = data.draw(st.integers(0, 5))
-        A = MatrixGrid(n, n, tuple(tuple(r) for r in entries),
-                       upper_triangular=True, staircase_diagonal=True)
-        assert sum(A.hook_sum(k) for k in range(1, n + 1)) == -comb(n, 2)
+        A = tuple(tuple(r) for r in entries)
+        assert sum(_hook_sum(A, k) for k in range(1, n + 1)) == -comb(n, 2)
+
+
+def staircase_by_filter(cols: int, targets: tuple[int, ...], top: int) -> set:
+    """The first len(targets) rows of every staircase matrix with free
+    entries at most `top` whose hook sums match, by brute force."""
+    rows = len(targets)
+    free = [(i, j) for i in range(rows) for j in range(i + 1, cols)]
+    out = set()
+    for vals in product(range(top + 1), repeat=len(free)):
+        grid = [[0] * cols for _ in range(rows)]
+        for i in range(rows):
+            grid[i][i] = i
+        for (i, j), v in zip(free, vals):
+            grid[i][j] = v
+        A = tuple(tuple(r) for r in grid)
+        if tuple(_hook_sum(A, k) for k in range(1, rows + 1)) == targets:
+            out.add(A)
+    return out
 
 
 class TestStaircaseEnumeration:
     def test_matches_filter(self):
-        n = 3
-        targets = (2, 0, -5)
-        got = {M.entries for M in staircase_matrices(n, n, targets)}
-        expected = set()
-        for v01, v02, v12 in product(range(6), repeat=3):
-            grid = ((0, v01, v02), (0, 1, v12), (0, 0, 2))
-            M = MatrixGrid(n, n, grid, upper_triangular=True,
-                           staircase_diagonal=True)
-            if tuple(M.hook_sum(k) for k in range(1, n + 1)) == targets:
-                expected.add(grid)
-        assert got == expected
+        # square shape, all rows and all but the last (which has no free
+        # entries); cropped shape, two of four rows
+        for cols, targets in ((3, (2, 0, -5)), (3, (2, 0)), (4, (1, -2))):
+            got = set(staircase_matrices(cols, targets))
+            assert got == staircase_by_filter(cols, targets, top=6)
+            assert got
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_rows_are_staircase_with_the_target_hook_sums(self, cols, data):
+        targets = tuple(data.draw(st.lists(st.integers(-6, 3), max_size=cols - 1)))
+        for A in staircase_matrices(cols, targets):
+            assert len(A) == len(targets)
+            for i, row in enumerate(A):
+                assert len(row) == cols
+                assert row[:i] == (0,) * i and row[i] == i
+                assert min(row) >= 0
+            assert tuple(_hook_sum(A, k) for k in range(1, len(A) + 1)) == targets
 
 
 class TestReductionIdentity:
@@ -214,14 +230,24 @@ class TestReductionIdentity:
         assert reduction_identity_sides(2, (2, 2)) == (0, 0)
 
     def test_bijection_reports(self):
-        rep = verify_reduction_bijection(3, (1, 0, 1))
-        assert isinstance(rep, BijectionReport)
-        assert rep.ok
-        assert rep.x_size + rep.x_prime_size == rep.y_size * (rep.upper + 1)
+        assert verify_reduction_bijection(3, (1, 0, 1)) == ()
+
+    def test_bijection_check_can_fail(self, monkeypatch):
+        # (1, 0, 1) would not do: h_1 = -1 leaves X, X' and Y empty
+        a_vec = (-1, 0, 1)
+        assert verify_reduction_bijection(3, a_vec) == ()
+        enumerate_rows = flowcat.ctengine.staircase_matrices
+
+        def drop_first(cols, targets):
+            rows = list(enumerate_rows(cols, targets))
+            return rows[1:] if len(targets) == 2 else rows
+
+        monkeypatch.setattr(flowcat.ctengine, "staircase_matrices", drop_first)
+        assert verify_reduction_bijection(3, a_vec)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 4), st.data())
     def test_bijection_random_vectors(self, n, data):
         a_vec = tuple(data.draw(st.integers(-1, 2)) for _ in range(n))
-        rep = verify_reduction_bijection(n, a_vec)
-        assert rep.ok, rep.failures
+        failures = verify_reduction_bijection(n, a_vec)
+        assert not failures, failures
