@@ -288,7 +288,7 @@ def build_parser() -> _Parser:
         "--max-n", type=int, default=None,
         help="the size of each suite; default in brackets. thm1, cry, thm2, "
              "thm3, morris: largest n [5, 7, 4, 3, 4]. lemma-gen: largest n, "
-             "at most 5 [5]. lemma-expand: largest number of variables [3]. "
+             "at most 5 [5]. lemma-expand: largest number of variables, at most 3 [3]. "
              f"faces: largest r+s of the 2^(r+1) 3^s vertex checks, at most {MAX_N - 2} "
              "[4]. lidskii-vs-ehrhart: most vertices of a graph [5]")
     p.add_argument("--format", choices=("text", "csv"), default="text")

@@ -252,15 +252,26 @@ def staircase_matrices(
     return rec(())
 
 
+def _square_rows(Y: Sequence[tuple], n: int, hook_target: int) -> Iterator[tuple]:
+    """staircase_matrices(n, head + (hook_target,)) built from its rows
+    Y = staircase_matrices(n, head): row n-1 has one free entry, fixed by h_{n-1}."""
+    for C in Y:
+        last = hook_target + (n - 2) + sum(row[n - 2] for row in C)
+        if last >= 0:
+            yield C + ((0,) * (n - 2) + (n - 2, last),)
+
+
 def verify_reduction_bijection(n: int, a_vec: Sequence[int]) -> tuple[str, ...]:
     """Machine-check the bijection behind the CT reduction identity.
 
-    Enumerates the square-matrix families X (hook sum h_{n-1} pinned through
-    a_{n-1}) and X' (pinned through a_n), the cropped family Y, applies the
-    drop-two-rows map (with column swap and index complement on the X' side)
-    and verifies it is a bijection onto Y x {0..C(n,2)-a}, with the side
-    selected by exactly one of the two threshold inequalities.  Returns the
-    first 10 failures, so the bijection holds when the result is empty.
+    Enumerates the cropped family Y once; rows 1..n-1 of the square-matrix
+    families X (hook sum h_{n-1} pinned through a_{n-1}) and X' (pinned
+    through a_n) are each a Y member plus its row n-1 (`_square_rows`).
+    Applies the drop-two-rows map (with column swap and index complement on
+    the X' side) and verifies it is a bijection onto Y x {0..C(n,2)-a}, with
+    the side selected by exactly one of the two threshold inequalities.
+    Returns the first 10 failures, so the bijection holds when the result is
+    empty.
     """
     a_vec = tuple(int(x) for x in a_vec)
     if len(a_vec) != n:
@@ -279,7 +290,7 @@ def verify_reduction_bijection(n: int, a_vec: Sequence[int]) -> tuple[str, ...]:
     for tag, anchor in (("X", a_vec[n - 2]), ("X'", a_vec[n - 1])):
         for t_window in range(R + 1):
             # rows 1..n-1 of the square matrices; the last row has no free entries
-            for A in staircase_matrices(n, head + (-anchor - t_window,)):
+            for A in _square_rows(Y, n, -anchor - t_window):
                 t = -anchor - _hook_sum(A, n - 1)
                 B = A[: n - 2]
                 if tag == "X'":

@@ -284,6 +284,18 @@ class TestVerify:
         assert code == 1
         assert "max_n <= 5" in err
 
+    def test_lemma_expand_rejects_max_n_above_3_before_any_work(
+        self, capsys, monkeypatch
+    ):
+        def work(*args):
+            raise AssertionError("the suite started before checking --max-n")
+
+        monkeypatch.setattr("flowcat.verify._series_histogram", work)
+        code, _, err = run(capsys, "verify", "--suite", "lemma-expand",
+                           "--max-n", "4")
+        assert code == 1
+        assert "max_n <= 3" in err
+
     def test_suite_with_no_checks_is_an_error(self, capsys):
         for suite, max_n in (("thm1", -1), ("cry", -1), ("thm2", -1),
                              ("thm3", -1), ("morris", -1), ("lemma-gen", -1),

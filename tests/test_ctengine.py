@@ -1,3 +1,4 @@
+from collections import defaultdict
 from itertools import product
 from math import comb
 
@@ -12,6 +13,7 @@ from flowcat.ctengine import (
     CTIntegrand,
     _hook_sum,
     _power_ct,
+    _square_rows,
     catalan_polytope_ct,
     constant_term,
     morris_ct,
@@ -239,11 +241,43 @@ class TestReductionIdentity:
         enumerate_rows = flowcat.ctengine.staircase_matrices
 
         def drop_first(cols, targets):
-            rows = list(enumerate_rows(cols, targets))
-            return rows[1:] if len(targets) == 2 else rows
+            return list(enumerate_rows(cols, targets))[1:]
 
         monkeypatch.setattr(flowcat.ctengine, "staircase_matrices", drop_first)
         assert verify_reduction_bijection(3, a_vec)
+
+    def test_square_rows_are_y_plus_one_row(self):
+        # every (head, h_{n-1}) that the lemma-gen vectors pin, each once
+        targets = defaultdict(set)
+        for n in range(2, 6):
+            for a_vec in product((-1, 0, 1, 2), repeat=n):
+                R = comb(n, 2) - sum(a_vec)
+                head = tuple(-x for x in a_vec[: n - 2])
+                for anchor in a_vec[n - 2:]:
+                    targets[n, head].update(-anchor - t for t in range(R + 1))
+        for (n, head), hooks in targets.items():
+            Y = list(staircase_matrices(n, head))
+            for h in hooks:
+                assert set(_square_rows(Y, n, h)) == set(
+                    staircase_matrices(n, head + (h,))
+                )
+
+    def test_bijection_enumerates_y_once(self, monkeypatch):
+        enumerate_rows = flowcat.ctengine.staircase_matrices
+        calls = []
+
+        def counted(cols, targets):
+            calls.append(targets)
+            return enumerate_rows(cols, targets)
+
+        monkeypatch.setattr(flowcat.ctengine, "staircase_matrices", counted)
+        # each with R > 0 and a nonempty Y
+        for n, a_vec in ((2, (0, 0)), (3, (-1, 0, 1)), (4, (-1, 0, 0, 2)),
+                         (5, (0, -1, 0, 1, 2))):
+            assert comb(n, 2) - sum(a_vec) > 0
+            calls.clear()
+            assert verify_reduction_bijection(n, a_vec) == ()
+            assert len(calls) == 1
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 4), st.data())
