@@ -1,100 +1,62 @@
 """Exact arithmetic for flow polytopes of complete-graph-like multigraphs:
 composition-sum volumes and point counts, Kostant partition functions,
 constant-term evaluation, Gamma-product closed forms, and face enumeration
-via Tesler tableaux."""
+via Tesler tableaux.
 
-from .closedform import (
-    GammaHalfValue,
-    catalan,
-    catalan_polytope_volume,
-    cry_product,
-    gamma_half,
-    morris_closed,
-    morris_polytope_volume,
-    syt_staircase,
-    tesler_family_volume,
-    tesler_unit_volume,
-)
-from .compositions import binomial, multinomial, weak_compositions
-from .core import (
-    Multigraph,
-    complete_graph,
-    degree_offsets,
-    kostant,
-    morris_graph,
-    tesler_graph,
-)
-from .ctengine import (
-    CTIntegrand,
-    catalan_polytope_ct,
-    constant_term,
-    morris_ct,
-    reduction_identity_sides,
-    tesler_ct,
-    verify_reduction_bijection,
-)
-from .faces import (
-    DecreasingForest,
-    TeslerTableau,
-    catalan_polytope_vertices,
-    f_vector,
-    forest_to_tableau,
-    tableau_dimension,
-    tableau_to_forest,
-    vertex_count_formula,
-    vertex_tableaux,
-)
-from .lidskii import (
-    EhrhartPolynomial,
-    NotFullDimensionalError,
-    ehrhart_polynomial,
-    lidskii_points,
-    lidskii_volume,
-    ps_volume,
-)
+Each engine module is registered lazily: it is in `sys.modules` and bound
+here from the start, but its code runs on first attribute access.  So a CLI
+query executes only the modules of the route it runs, and a public name runs
+its module when it is first looked up on the package.
+"""
+
+import importlib.util
+import sys
+
+# public name -> the engine module that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "closedform": "GammaHalfValue catalan catalan_polytope_volume cry_product "
+                      "gamma_half morris_closed morris_polytope_volume syt_staircase "
+                      "tesler_family_volume tesler_unit_volume",
+        "compositions": "binomial multinomial weak_compositions",
+        "core": "Multigraph complete_graph degree_offsets kostant morris_graph "
+                "tesler_graph",
+        "ctengine": "CTIntegrand catalan_polytope_ct constant_term morris_ct "
+                    "reduction_identity_sides tesler_ct verify_reduction_bijection",
+        "faces": "DecreasingForest TeslerTableau catalan_polytope_vertices f_vector "
+                 "forest_to_tableau tableau_dimension tableau_to_forest "
+                 "vertex_count_formula vertex_tableaux",
+        "lidskii": "EhrhartPolynomial NotFullDimensionalError ehrhart_polynomial "
+                   "lidskii_points lidskii_volume ps_volume",
+    }.items()
+    for name in names.split()
+}
 
 __version__ = "0.1.0"
+__all__ = sorted(_EXPORTS)
 
-__all__ = [
-    "CTIntegrand",
-    "DecreasingForest",
-    "EhrhartPolynomial",
-    "GammaHalfValue",
-    "Multigraph",
-    "NotFullDimensionalError",
-    "TeslerTableau",
-    "binomial",
-    "catalan",
-    "catalan_polytope_ct",
-    "catalan_polytope_vertices",
-    "catalan_polytope_volume",
-    "complete_graph",
-    "constant_term",
-    "cry_product",
-    "degree_offsets",
-    "ehrhart_polynomial",
-    "f_vector",
-    "forest_to_tableau",
-    "gamma_half",
-    "kostant",
-    "lidskii_points",
-    "lidskii_volume",
-    "morris_closed",
-    "morris_ct",
-    "morris_graph",
-    "morris_polytope_volume",
-    "multinomial",
-    "ps_volume",
-    "reduction_identity_sides",
-    "syt_staircase",
-    "tableau_dimension",
-    "tableau_to_forest",
-    "tesler_ct",
-    "tesler_family_volume",
-    "tesler_graph",
-    "tesler_unit_volume",
-    "vertex_count_formula",
-    "vertex_tableaux",
-    "verify_reduction_bijection",
-    "weak_compositions",
-]
+
+def _register_lazily(*modules: str) -> None:
+    for module in modules:
+        spec = importlib.util.find_spec(f"{__name__}.{module}")
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        lazy = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = lazy
+        spec.loader.exec_module(lazy)
+        globals()[module] = lazy
+
+
+_register_lazily("compositions", "core", "closedform", "ctengine", "faces", "lidskii",
+                 "verify")
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[module], name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

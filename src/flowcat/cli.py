@@ -13,20 +13,15 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 from typing import Callable, Sequence
 
-from .closedform import (
-    catalan_polytope_volume,
-    cry_product,
-    morris_polytope_volume,
-    tesler_family_volume,
-)
-from .core import Multigraph, complete_graph, kostant, morris_graph, tesler_graph
-from .ctengine import CTIntegrand, catalan_polytope_ct, constant_term, morris_ct, tesler_ct
-from .faces import MAX_N, f_vector, tableau_to_forest, vertex_tableaux
-from .lidskii import ehrhart_polynomial, lidskii_points, lidskii_volume
-from .verify import SUITES
+# Lazily registered by the package: a module runs only when a route uses it.
+from . import closedform, core, ctengine, faces, lidskii, verify
+
+# The keys of verify.SUITES, written out (as is faces.MAX_N - 2 in the help
+# of --max-n) so that building the parser runs neither module; tests pin both.
+_SUITE_NAMES = ("thm1", "cry", "thm2", "thm3", "morris", "lemma-gen", "lemma-expand",
+                "faces", "lidskii-vs-ehrhart")
 
 
 class CLIError(Exception):
@@ -38,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(message)
 
 
-def _parse_graph(spec: str) -> tuple[str, tuple[int, ...], Multigraph]:
+def _parse_graph(spec: str) -> tuple[str, tuple[int, ...], core.Multigraph]:
     """Returns (kind, params, graph)."""
     kind, sep, rest = spec.partition(":")
     if not sep:
@@ -47,7 +42,7 @@ def _parse_graph(spec: str) -> tuple[str, tuple[int, ...], Multigraph]:
         try:
             with open(rest) as fh:
                 data = json.load(fh)
-            return "custom", (), Multigraph.from_json_dict(data)
+            return "custom", (), core.Multigraph.from_json_dict(data)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise CLIError(f"cannot read graph file {rest!r}: {exc}")
     try:
@@ -56,11 +51,11 @@ def _parse_graph(spec: str) -> tuple[str, tuple[int, ...], Multigraph]:
         raise CLIError(f"graph parameters must be integers: {rest!r}")
     try:
         if kind == "complete" and len(params) == 1:
-            return kind, params, complete_graph(params[0])
+            return kind, params, core.complete_graph(params[0])
         if kind == "morris" and len(params) == 4:
-            return kind, params, morris_graph(*params)
+            return kind, params, core.morris_graph(*params)
         if kind == "tesler" and len(params) == 3:
-            return kind, params, tesler_graph(*params)
+            return kind, params, core.tesler_graph(*params)
     except ValueError as exc:
         raise CLIError(str(exc))
     raise CLIError(f"unrecognized graph spec: {spec!r}")
@@ -73,7 +68,7 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
         raise CLIError(f"netflow must be a comma separated integer list: {raw!r}")
 
 
-def _parse_netflow(raw: str, G: Multigraph) -> tuple[int, ...]:
+def _parse_netflow(raw: str, G: core.Multigraph) -> tuple[int, ...]:
     vec = _parse_ints(raw)
     if len(vec) != G.vertex_count:
         raise CLIError(
@@ -83,10 +78,8 @@ def _parse_netflow(raw: str, G: Multigraph) -> tuple[int, ...]:
 
 
 def _as_int(value: object, method: str) -> int:
-    if isinstance(value, Fraction):
-        if value.denominator != 1:
-            raise CLIError(f"method {method} produced a non-integer volume {value}")
-        return int(value)
+    if getattr(value, "denominator", 1) != 1:
+        raise CLIError(f"method {method} produced a non-integer volume {value}")
     return int(value)  # type: ignore[call-overload]
 
 
@@ -99,34 +92,40 @@ def _special_form(
     n = len(netflow) - 1
     if kind == "complete":
         if n >= 2 and netflow == (1, 1) + (0,) * (n - 2) + (-2,):
-            return {"ct": lambda: catalan_polytope_ct(n),
-                    "closed": lambda: catalan_polytope_volume(n)}
+            return {"ct": lambda: ctengine.catalan_polytope_ct(n),
+                    "closed": lambda: closedform.catalan_polytope_volume(n)}
         if n >= 3 and netflow == (1,) + (0,) * (n - 1) + (-1,):
-            return {"ct": lambda: morris_ct(n - 2, 0, 2, 1),
-                    "closed": lambda: cry_product(n)}
+            return {"ct": lambda: ctengine.morris_ct(n - 2, 0, 2, 1),
+                    "closed": lambda: closedform.cry_product(n)}
     if kind == "morris" and netflow == (1,) + (0,) * (n - 1) + (-1,):
         _, a, b, m = params
         if a >= 1:
-            return {"ct": lambda: morris_ct(n - 1, a - 1, b, m),
-                    "closed": lambda: morris_polytope_volume(n, a, b, m)}
+            return {"ct": lambda: ctengine.morris_ct(n - 1, a - 1, b, m),
+                    "closed": lambda: closedform.morris_polytope_volume(n, a, b, m)}
     if kind == "tesler" and netflow == (1,) * n + (-n,):
         _, a, b = params
-        return {"ct": lambda: tesler_ct(n, a, b),
-                "closed": lambda: tesler_family_volume(n, a, b)}
+        return {"ct": lambda: ctengine.tesler_ct(n, a, b),
+                "closed": lambda: closedform.tesler_family_volume(n, a, b)}
     return {}
 
 
 def _emit(payload: dict[str, object], fmt: str, out) -> None:
+    """Print the payload as one JSON object, a CSV header and row, or one
+    `key: value` line per key.  In CSV and text a dict or list value is
+    written as JSON."""
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True), file=out)
-    elif fmt == "csv":
-        keys = sorted(payload)
+        return
+    keys = sorted(payload)
+    fields = [json.dumps(payload[k], sort_keys=True)
+              if isinstance(payload[k], (dict, list)) else payload[k] for k in keys]
+    if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(keys)
-        writer.writerow([payload[k] for k in keys])
+        writer.writerow(fields)
     else:
-        for k in sorted(payload):
-            print(f"{k}: {payload[k]}", file=out)
+        for k, v in zip(keys, fields):
+            print(f"{k}: {v}", file=out)
 
 
 def _run_methods(
@@ -153,8 +152,8 @@ def _cmd_volume(args, out) -> int:
     kind, params, G = _parse_graph(args.graph)
     netflow = _parse_netflow(args.netflow, G)
     compute: dict[str, object] = {
-        "lidskii": lambda: lidskii_volume(G, netflow),
-        "ehrhart": lambda: ehrhart_polynomial(G, netflow).normalized_volume,
+        "lidskii": lambda: lidskii.lidskii_volume(G, netflow),
+        "ehrhart": lambda: lidskii.ehrhart_polynomial(G, netflow).normalized_volume,
         **_special_form(kind, params, netflow),
     }
     return _run_methods(args, compute, "volume", out)
@@ -164,16 +163,16 @@ def _cmd_points(args, out) -> int:
     _, _, G = _parse_graph(args.graph)
     netflow = _parse_netflow(args.netflow, G)
     compute = {
-        "lidskii": lambda: lidskii_points(G, netflow),
-        "ehrhart": lambda: ehrhart_polynomial(G, netflow)(1),
-        "kostant": lambda: kostant(G, netflow),
+        "lidskii": lambda: lidskii.lidskii_points(G, netflow),
+        "ehrhart": lambda: lidskii.ehrhart_polynomial(G, netflow)(1),
+        "kostant": lambda: core.kostant(G, netflow),
     }
     return _run_methods(args, compute, "points", out)
 
 
 def _cmd_vertices(args, out) -> int:
     a = _parse_ints(args.netflow)
-    tableaux = vertex_tableaux(a)
+    tableaux = faces.vertex_tableaux(a)
     if args.count_only and args.format != "json":
         print(len(tableaux), file=out)
         return 0
@@ -181,7 +180,7 @@ def _cmd_vertices(args, out) -> int:
     if args.enumerate and not args.count_only:
         payload["tableaux"] = [[list(row) for row in T.rows] for T in tableaux]
         payload["forests"] = [
-            tableau_to_forest(T).parent_array(len(a)) for T in tableaux
+            faces.tableau_to_forest(T).parent_array(len(a)) for T in tableaux
         ]
     _emit(payload, args.format, out)
     return 0
@@ -189,7 +188,7 @@ def _cmd_vertices(args, out) -> int:
 
 def _cmd_fvector(args, out) -> int:
     a = _parse_ints(args.netflow)
-    fv = f_vector(a)
+    fv = faces.f_vector(a)
     if args.format == "json":
         _emit({"f_vector": [str(v) for v in fv]}, "json", out)
     elif args.format == "csv":
@@ -207,10 +206,10 @@ def _cmd_ct(args, out) -> int:
         else:
             with open(args.file) as fh:
                 data = json.load(fh)
-        f = CTIntegrand.from_json_dict(data)
+        f = ctengine.CTIntegrand.from_json_dict(data)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CLIError(f"cannot read integrand: {exc}")
-    value = constant_term(f)
+    value = ctengine.constant_term(f)
     if args.format == "json":
         _emit({"constant_term": str(value)}, "json", out)
     else:
@@ -219,11 +218,11 @@ def _cmd_ct(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     writer = csv.writer(out, lineterminator="\n")
     failed = 0
     for name in names:
-        fn = SUITES[name]
+        fn = verify.SUITES[name]
         results = fn(args.max_n) if args.max_n is not None else fn()
         if not results:
             raise CLIError(f"suite {name} makes no checks at --max-n {args.max_n}")
@@ -283,13 +282,13 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_ct)
 
     p = sub.add_parser("verify", help="run cross-verification suites")
-    p.add_argument("--suite", choices=tuple(SUITES) + ("all",), default="all")
+    p.add_argument("--suite", choices=_SUITE_NAMES + ("all",), default="all")
     p.add_argument(
         "--max-n", type=int, default=None,
         help="the size of each suite; default in brackets. thm1, cry, thm2, "
              "thm3, morris: largest n [5, 7, 4, 3, 4]. lemma-gen: largest n, "
              "at most 5 [5]. lemma-expand: largest number of variables, at most 3 [3]. "
-             f"faces: largest r+s of the 2^(r+1) 3^s vertex checks, at most {MAX_N - 2} "
+             "faces: largest r+s of the 2^(r+1) 3^s vertex checks, at most 6 "
              "[4]. lidskii-vs-ehrhart: most vertices of a graph [5]")
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(fn=_cmd_verify)

@@ -9,17 +9,39 @@ rounding question.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 
-@dataclass(frozen=True)
 class GammaHalfValue:
-    """The exact value q * pi^(e/2), q rational and e an integer."""
+    """The exact value q * pi^(e/2), q rational and e an integer.
 
-    q: Fraction
-    e: int = 0
+    Immutable, compared and hashed as the pair (q, e).  Not a tuple, so that
+    `2 * value` raises instead of repeating it.
+    """
+
+    __slots__ = ("q", "e")
+
+    def __init__(self, q: Fraction, e: int = 0) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "e", e)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.q, self.e) == (other.q, other.e)
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.e))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(q={self.q!r}, e={self.e!r})"
 
     def __mul__(self, other: "GammaHalfValue") -> "GammaHalfValue":
         return GammaHalfValue(self.q * other.q, self.e + other.e)

@@ -20,8 +20,7 @@ states carry the numerator and whose budget is a power numerator
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from typing import Callable, Sequence
 
 from .compositions import compositions_weight
@@ -29,27 +28,27 @@ from .compositions import compositions_weight
 Edge = tuple[int, int, int]  # (source, target, multiplicity)
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(namedtuple("Multigraph", "vertex_count edges")):
     """Loopless directed multigraph on vertices 1..vertex_count, edges i < j.
 
     Parallel (source, target) entries are merged on construction; the stored
     edge list is sorted and duplicate free.
     """
 
-    vertex_count: int
-    edges: tuple[Edge, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.vertex_count < 1:
+    def __new__(
+        cls, vertex_count: int, edges: Sequence[Sequence[int]] = ()
+    ) -> "Multigraph":
+        if vertex_count < 1:
             raise ValueError("vertex_count must be at least 1")
         merged: dict[tuple[int, int], int] = defaultdict(int)
-        for entry in self.edges:
+        for entry in edges:
             if len(entry) == 2:
                 (i, j), m = entry, 1
             else:
                 i, j, m = entry
-            if not (1 <= i <= self.vertex_count and 1 <= j <= self.vertex_count):
+            if not (1 <= i <= vertex_count and 1 <= j <= vertex_count):
                 raise ValueError(f"edge ({i},{j}) uses an invalid vertex label")
             if i >= j:
                 raise ValueError(f"edge ({i},{j}) must have source < target")
@@ -59,7 +58,7 @@ class Multigraph:
         canonical = tuple(
             (i, j, m) for (i, j), m in sorted(merged.items()) if m > 0
         )
-        object.__setattr__(self, "edges", canonical)
+        return super().__new__(cls, vertex_count, canonical)
 
     @property
     def edge_count(self) -> int:

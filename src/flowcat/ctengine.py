@@ -28,8 +28,7 @@ tuples of row tuples (a row sum is `sum(row)`, a hook sum `_hook_sum`).
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from math import comb
 from typing import Iterator, Sequence
 
@@ -37,8 +36,8 @@ from .compositions import weak_compositions
 from .core import Multigraph, _flow_sweep
 
 
-@dataclass(frozen=True)
-class CTIntegrand:
+class CTIntegrand(namedtuple(
+        "CTIntegrand", "n_vars numerator x_pole one_minus_pole vandermonde_power")):
     """Symbolic integrand for the iterated constant term.
 
     numerator: list of (coefficient, exponent vector) monomials; exponents
@@ -47,32 +46,33 @@ class CTIntegrand:
     (1-x_i)^{-b_i}.  vandermonde_power is m in prod_{i<j} (x_j-x_i)^{-m}.
     """
 
-    n_vars: int
-    numerator: tuple[tuple[int, tuple[int, ...]], ...]
-    x_pole: tuple[int, ...] = ()
-    one_minus_pole: tuple[int, ...] = ()
-    vandermonde_power: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_vars < 1:
+    def __new__(
+        cls,
+        n_vars: int,
+        numerator: Sequence[tuple[int, Sequence[int]]],
+        x_pole: Sequence[int] = (),
+        one_minus_pole: Sequence[int] = (),
+        vandermonde_power: int = 0,
+    ) -> "CTIntegrand":
+        if n_vars < 1:
             raise ValueError("n_vars must be positive")
         numerator = tuple(
-            (int(c), tuple(int(e) for e in exps)) for c, exps in self.numerator
+            (int(c), tuple(int(e) for e in exps)) for c, exps in numerator
         )
-        x_pole = tuple(int(x) for x in self.x_pole) or (0,) * self.n_vars
-        omp = tuple(int(x) for x in self.one_minus_pole) or (0,) * self.n_vars
+        x_pole = tuple(int(x) for x in x_pole) or (0,) * n_vars
+        omp = tuple(int(x) for x in one_minus_pole) or (0,) * n_vars
         for _, exps in numerator:
-            if len(exps) != self.n_vars:
+            if len(exps) != n_vars:
                 raise ValueError("monomial exponent vector has wrong length")
-        if len(x_pole) != self.n_vars or len(omp) != self.n_vars:
+        if len(x_pole) != n_vars or len(omp) != n_vars:
             raise ValueError("pole vectors must have length n_vars")
         if any(b < 0 for b in omp):
             raise ValueError("one_minus_pole entries must be nonnegative")
-        if self.vandermonde_power < 0:
+        if vandermonde_power < 0:
             raise ValueError("vandermonde_power must be nonnegative")
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "x_pole", x_pole)
-        object.__setattr__(self, "one_minus_pole", omp)
+        return super().__new__(cls, n_vars, numerator, x_pole, omp, vandermonde_power)
 
     def to_json_dict(self) -> dict:
         return {

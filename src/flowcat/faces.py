@@ -8,7 +8,7 @@ sit in the support of a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import zip_longest
 from typing import Sequence
 
@@ -16,21 +16,20 @@ from typing import Sequence
 MAX_N = 8
 
 
-@dataclass(frozen=True)
-class TeslerTableau:
+class TeslerTableau(namedtuple("TeslerTableau", "n rows")):
     """(0,1)-filling of the shifted staircase; rows[i-1][j-i] is cell (i, j)."""
 
-    n: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != self.n:
+    def __new__(cls, n: int, rows: tuple[tuple[int, ...], ...]) -> "TeslerTableau":
+        if len(rows) != n:
             raise ValueError("need one row per index 1..n")
-        for i, row in enumerate(self.rows, start=1):
-            if len(row) != self.n - i + 1:
-                raise ValueError(f"row {i} must have {self.n - i + 1} cells")
+        for i, row in enumerate(rows, start=1):
+            if len(row) != n - i + 1:
+                raise ValueError(f"row {i} must have {n - i + 1} cells")
             if any(v not in (0, 1) for v in row):
                 raise ValueError("cells must be 0 or 1")
+        return super().__new__(cls, n, rows)
 
     def cell(self, i: int, j: int) -> int:
         return self.rows[i - 1][j - i]
@@ -66,20 +65,21 @@ def tableau_dimension(T: TeslerTableau) -> int:
     return T.ones() - nonzero
 
 
-@dataclass(frozen=True)
-class DecreasingForest:
+class DecreasingForest(namedtuple("DecreasingForest", "vertices parents")):
     """Rooted forest on a subset of [n] with every child smaller than its
     parent; roots carry no parent entry."""
 
-    vertices: frozenset[int]
-    parents: dict[int, int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for child, parent in self.parents.items():
-            if child not in self.vertices or parent not in self.vertices:
+    def __new__(
+        cls, vertices: frozenset[int], parents: dict[int, int]
+    ) -> "DecreasingForest":
+        for child, parent in parents.items():
+            if child not in vertices or parent not in vertices:
                 raise ValueError("parent map must stay inside the vertex set")
             if child >= parent:
                 raise ValueError("children must be smaller than their parents")
+        return super().__new__(cls, vertices, parents)
 
     @property
     def roots(self) -> frozenset[int]:

@@ -18,9 +18,8 @@ reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .compositions import binomial
 from .core import Multigraph, _flow_sweep, degree_offsets, kostant
@@ -149,8 +148,7 @@ def ps_volume(G: Multigraph) -> int:
     return kostant(G, vec)
 
 
-@dataclass(frozen=True)
-class EhrhartPolynomial:
+class EhrhartPolynomial(NamedTuple):
     """Exact Ehrhart polynomial in the binomial basis: p(t) is the sum of
     differences[k] * binom(t, k), where differences[k] is the k-th forward
     difference of p at 0.  All of them are integers."""

@@ -6,10 +6,9 @@ and the acceptance tests both drive these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .closedform import (
     catalan_polytope_volume,
@@ -39,8 +38,7 @@ from .faces import (
 from .lidskii import ehrhart_polynomial, lidskii_points, lidskii_volume, ps_volume
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     label: str
     expected: object
     actual: object

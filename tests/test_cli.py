@@ -96,7 +96,7 @@ class TestVolume:
         def eager(*args):
             raise AssertionError("tesler_ct ran without --method ct")
 
-        monkeypatch.setattr("flowcat.cli.tesler_ct", eager)
+        monkeypatch.setattr("flowcat.ctengine.tesler_ct", eager)
         code, out, _ = run(
             capsys,
             "volume", "--graph", "tesler:5,1,1", "--netflow", "1,1,1,1,-4",
@@ -159,14 +159,19 @@ class TestCsv:
             "--method", "lidskii", "--method", "closed", "--format", "csv",
         )
         assert rows and all(len(row) == len(header) for row in rows)
-        assert dict(zip(header, rows[0]))["volume"] == "4"
+        fields = dict(zip(header, rows[0]))
+        assert fields["volume"] == "4"
+        assert json.loads(fields["methods"]) == {"closed": "4", "lidskii": "4"}
 
     def test_vertices_enumerate(self, capsys):
         header, *rows = self.rows(
             capsys,
-            "vertices", "--netflow", "1,1", "--enumerate", "--format", "csv",
+            "vertices", "--netflow", "1,0", "--enumerate", "--format", "csv",
         )
         assert rows and all(len(row) == len(header) for row in rows)
+        fields = dict(zip(header, rows[0]))
+        assert json.loads(fields["tableaux"]) == [[[1, 0], [0]], [[0, 1], [1]]]
+        assert json.loads(fields["forests"]) == [[0, None], [2, 0]]
 
     def test_verify_rows(self, capsys):
         rows = self.rows(capsys, "verify", "--suite", "lemma-gen",

@@ -1,0 +1,188 @@
+"""The package surface: which modules a query runs, the lazy namespace, the
+parser's literal copies of engine constants, and the record types."""
+
+import argparse
+import importlib
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+import flowcat
+from flowcat import cli, faces, verify
+from flowcat.closedform import GammaHalfValue, gamma_half
+from flowcat.core import Multigraph
+from flowcat.ctengine import CTIntegrand
+from flowcat.faces import DecreasingForest, TeslerTableau
+from flowcat.lidskii import EhrhartPolynomial
+from flowcat.verify import CheckResult
+
+# Runs one query in a fresh interpreter (with no arguments it only imports the
+# package) and prints, on its last line, the flowcat modules that executed (a
+# lazily registered module that never ran is not yet a plain module) and the
+# modules that loading and running flowcat added.
+PROBE = """
+import json, sys, types
+before = set(sys.modules)
+if sys.argv[1:]:
+    import flowcat.cli
+    code = flowcat.cli.main(sys.argv[1:])
+else:
+    import flowcat
+    code = 0
+print(json.dumps({
+    "code": code,
+    "executed": sorted(name[len("flowcat."):] for name, module in sys.modules.items()
+                       if name.startswith("flowcat.")
+                       and type(module) is types.ModuleType),
+    "new": sorted(set(sys.modules) - before),
+}))
+"""
+
+SRC = os.path.dirname(os.path.dirname(flowcat.__file__))
+GRAPH_ROUTE = {"cli", "compositions", "core"}
+
+
+def probe(*argv):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture
+def ct_file(tmp_path):
+    path = tmp_path / "integrand.json"
+    path.write_text(json.dumps({"vars": 2, "numerator": [[1, [0, 0]]],
+                                "one_minus_pole": [1, 1], "vandermonde": 1}))
+    return str(path)
+
+
+CATALAN_5 = ("--graph", "complete:5", "--netflow", "1,1,0,0,-2")
+
+
+class TestImportSurface:
+    @pytest.mark.parametrize("argv, executed", [
+        (("points", "--graph", "complete:4", "--netflow", "1,0,0,-1",
+          "--method", "lidskii"), GRAPH_ROUTE | {"lidskii"}),
+        (("points", "--graph", "complete:4", "--netflow", "1,0,0,-1",
+          "--method", "kostant"), GRAPH_ROUTE),
+        (("volume", *CATALAN_5, "--method", "lidskii"), GRAPH_ROUTE | {"lidskii"}),
+        (("volume", *CATALAN_5, "--method", "ehrhart"), GRAPH_ROUTE | {"lidskii"}),
+        (("volume", *CATALAN_5, "--method", "ct"), GRAPH_ROUTE | {"ctengine"}),
+        (("volume", *CATALAN_5, "--method", "closed"), GRAPH_ROUTE | {"closedform"}),
+        (("fvector", "--netflow", "1,1,0"), {"cli", "faces"}),
+        (("vertices", "--netflow", "1,1,0", "--enumerate", "--format", "csv"),
+         {"cli", "faces"}),
+    ])
+    def test_a_query_runs_only_its_route(self, argv, executed):
+        result = probe(*argv)
+        assert result["code"] == 0
+        assert set(result["executed"]) == executed
+        new = set(result["new"])
+        assert not new & {"dataclasses", "inspect"}
+        assert ("fractions" in new) == ("closedform" in executed)
+
+    def test_ct_file_runs_the_ct_engine_only(self, ct_file):
+        result = probe("ct", "--file", ct_file)
+        assert set(result["executed"]) == GRAPH_ROUTE | {"ctengine"}
+        assert not set(result["new"]) & {"dataclasses", "inspect", "fractions"}
+
+    def test_verify_runs_every_module_without_dataclasses(self):
+        result = probe("verify", "--suite", "cry")
+        assert set(result["executed"]) == {"cli", "verify", *flowcat._EXPORTS.values()}
+        assert not set(result["new"]) & {"dataclasses", "inspect"}
+
+    def test_importing_the_package_runs_no_engine(self):
+        result = probe()
+        assert result["executed"] == []
+        assert not set(result["new"]) & {"dataclasses", "inspect", "fractions"}
+
+
+class TestNamespace:
+    def test_every_public_name_is_its_module_object(self):
+        for name in flowcat.__all__:
+            module = importlib.import_module(f"flowcat.{flowcat._EXPORTS[name]}")
+            assert getattr(flowcat, name) is getattr(module, name)
+
+    def test_dir_covers_all(self):
+        assert set(flowcat.__all__) <= set(dir(flowcat))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            flowcat.no_such_name
+        assert not hasattr(flowcat, "MAX_N")
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from flowcat import *", namespace)
+        assert set(flowcat.__all__) <= set(namespace)
+        assert namespace["kostant"] is flowcat.core.kostant
+
+
+class TestParserLiterals:
+    @staticmethod
+    def verify_action(dest):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return next(a for a in sub.choices["verify"]._actions if a.dest == dest)
+
+    def test_suite_choices_are_the_suites(self):
+        assert tuple(self.verify_action("suite").choices) == (
+            tuple(verify.SUITES) + ("all",))
+
+    def test_max_n_help_names_the_faces_bound(self):
+        assert f"at most {faces.MAX_N - 2} " in self.verify_action("max_n").help
+
+
+RECORDS = [
+    (lambda: Multigraph(3, ((1, 2), (1, 2, 2), (2, 3, 1))), "vertex_count",
+     "Multigraph(vertex_count=3, edges=((1, 2, 3), (2, 3, 1)))"),
+    (lambda: CTIntegrand(1, ((1, (0,)),), one_minus_pole=(2,)), "numerator",
+     "CTIntegrand(n_vars=1, numerator=((1, (0,)),), x_pole=(0,), "
+     "one_minus_pole=(2,), vandermonde_power=0)"),
+    (lambda: TeslerTableau(2, ((1, 0), (1,))), "rows",
+     "TeslerTableau(n=2, rows=((1, 0), (1,)))"),
+    (lambda: DecreasingForest(frozenset({1, 2}), {1: 2}), "parents",
+     "DecreasingForest(vertices=frozenset({1, 2}), parents={1: 2})"),
+    (lambda: EhrhartPolynomial((1, 2)), "differences",
+     "EhrhartPolynomial(differences=(1, 2))"),
+    (lambda: CheckResult("n=2", 4, 4), "actual",
+     "CheckResult(label='n=2', expected=4, actual=4)"),
+    (lambda: GammaHalfValue(Fraction(1, 2), 1), "q",
+     "GammaHalfValue(q=Fraction(1, 2), e=1)"),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("make, field, text", RECORDS)
+    def test_frozen_equal_and_repr(self, make, field, text):
+        record = make()
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert record == make()
+        assert repr(record) == text
+
+    def test_hash_follows_equality(self):
+        assert hash(Multigraph(2, ((1, 2),))) == hash(Multigraph(2, ((1, 2, 1),)))
+        assert hash(gamma_half(3)) == hash(GammaHalfValue(Fraction(1, 2), 1))
+        assert gamma_half(3) != gamma_half(5)
+
+    def test_gamma_value_is_not_a_sequence(self):
+        with pytest.raises(TypeError):
+            2 * gamma_half(3)
+        with pytest.raises(TypeError):
+            gamma_half(3) + gamma_half(3)
+        assert gamma_half(3) * gamma_half(3) == GammaHalfValue(Fraction(1, 4), 2)
+
+    def test_keyword_construction_validates(self):
+        assert Multigraph(vertex_count=2, edges=((1, 2), (1, 2))).edges == ((1, 2, 2),)
+        with pytest.raises(ValueError, match="vandermonde_power"):
+            CTIntegrand(n_vars=1, numerator=(), vandermonde_power=-1)
