@@ -16,17 +16,17 @@ import sys
 _EXPORTS = {
     name: module
     for module, names in {
-        "closedform": "GammaHalfValue catalan catalan_polytope_volume cry_product "
-                      "gamma_half morris_closed morris_polytope_volume syt_staircase "
-                      "tesler_family_volume tesler_unit_volume",
-        "compositions": "binomial multinomial weak_compositions",
+        "closedform": "catalan catalan_polytope_volume cry_product morris_closed "
+                      "morris_polytope_volume syt_staircase tesler_family_volume "
+                      "tesler_unit_volume",
+        "compositions": "binomial weak_compositions",
         "core": "Multigraph complete_graph degree_offsets kostant morris_graph "
                 "tesler_graph",
         "ctengine": "CTIntegrand catalan_polytope_ct constant_term morris_ct "
                     "reduction_identity_sides tesler_ct verify_reduction_bijection",
         "faces": "DecreasingForest TeslerTableau catalan_polytope_vertices f_vector "
-                 "forest_to_tableau tableau_dimension tableau_to_forest "
-                 "vertex_count_formula vertex_tableaux",
+                 "tableau_dimension tableau_to_forest vertex_count_formula "
+                 "vertex_tableaux",
         "lidskii": "EhrhartPolynomial NotFullDimensionalError ehrhart_polynomial "
                    "lidskii_points lidskii_volume ps_volume",
     }.items()

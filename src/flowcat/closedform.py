@@ -2,77 +2,41 @@
 identity right-hand side, and the Gamma-product volume formulas for the
 three polytope families.
 
-Gamma at half-integers is kept exact as a pair (rational, power of sqrt(pi));
-a residual sqrt(pi) exponent at the end of a product is a hard error, never a
-rounding question.
+A Gamma product at half-integer arguments is evaluated exactly as a ratio of
+integers, with its sqrt(pi) factors counted apart; a sqrt(pi) left over at the
+end of a product is a hard error, never a rounding question.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from typing import Iterable
 
 
-class GammaHalfValue:
-    """The exact value q * pi^(e/2), q rational and e an integer.
+def _gamma_product(scale: int | Fraction, num: Iterable[int],
+                   den: Iterable[int]) -> Fraction:
+    """scale * prod_{x in num} G(x/2) / prod_{x in den} G(x/2), exactly.
 
-    Immutable, compared and hashed as the pair (q, e).  Not a tuple, so that
-    `2 * value` raises instead of repeating it.
+    G(k) = (k-1)! and G(k+1/2) = (2k)! sqrt(pi) / (4^k k!).  The sqrt(pi)
+    factors are counted, and one left over is an ArithmeticError.
     """
-
-    __slots__ = ("q", "e")
-
-    def __init__(self, q: Fraction, e: int = 0) -> None:
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "e", e)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.q, self.e) == (other.q, other.e)
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.e))
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(q={self.q!r}, e={self.e!r})"
-
-    def __mul__(self, other: "GammaHalfValue") -> "GammaHalfValue":
-        return GammaHalfValue(self.q * other.q, self.e + other.e)
-
-    def __truediv__(self, other: "GammaHalfValue") -> "GammaHalfValue":
-        return GammaHalfValue(self.q / other.q, self.e - other.e)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.e == 0
-
-    def to_rational(self) -> Fraction:
-        if self.e != 0:
-            raise ArithmeticError(
-                f"value carries a residual pi^({self.e}/2) factor"
-            )
-        return self.q
-
-
-def gamma_half(two_j: int) -> GammaHalfValue:
-    """Gamma(two_j / 2), exactly.
-
-    Integer arguments give factorials; half-integer arguments reduce to
-    Gamma(1/2) = sqrt(pi) through the double-factorial recursion.
-    """
-    if two_j <= 0:
-        raise ValueError("Gamma argument must be positive")
-    if two_j % 2 == 0:
-        return GammaHalfValue(Fraction(factorial(two_j // 2 - 1)))
-    k = (two_j - 1) // 2  # argument is k + 1/2
-    return GammaHalfValue(Fraction(factorial(2 * k), 4**k * factorial(k)), 1)
+    ratio = [1, 1]  # numerator, denominator
+    roots = 0
+    for args, side in ((num, 0), (den, 1)):
+        for x in args:
+            if x <= 0:
+                raise ValueError("Gamma argument must be positive")
+            k, odd = divmod(x, 2)
+            if odd:
+                ratio[side] *= factorial(2 * k)
+                ratio[1 - side] *= 4**k * factorial(k)
+                roots += 1 - 2 * side
+            else:
+                ratio[side] *= factorial(k - 1)
+    if roots:
+        raise ArithmeticError(f"value carries a residual pi^({roots}/2) factor")
+    return Fraction(*ratio) * scale
 
 
 def catalan(i: int) -> int:
@@ -101,14 +65,11 @@ def morris_closed(n: int, a: int, b: int, m: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    acc = GammaHalfValue(Fraction(1, factorial(n)))
-    for j in range(n):
-        acc = acc * gamma_half(2 * (a + b) + (n - 1 + j) * m)
-        acc = acc * gamma_half(m)
-        acc = acc / gamma_half(2 * b + j * m)
-        acc = acc / gamma_half(m + j * m)
-        acc = acc / gamma_half(2 * a + j * m + 2)
-    return acc.to_rational()
+    return _gamma_product(
+        Fraction(1, factorial(n)),
+        [2 * (a + b) + (n - 1 + j) * m for j in range(n)] + [m] * n,
+        [x for j in range(n) for x in (2 * b + j * m, m + j * m, 2 * a + j * m + 2)],
+    )
 
 
 def catalan_polytope_volume(n: int) -> int:
@@ -128,14 +89,11 @@ def morris_polytope_volume(n: int, a: int, b: int, m: int) -> Fraction:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    acc = GammaHalfValue(Fraction(1, factorial(n - 1)))
-    for j in range(n - 1):
-        acc = acc * gamma_half(2 * (a - 1 + b) + (n - 2 + j) * m)
-        acc = acc * gamma_half(m)
-        acc = acc / gamma_half(2 * a + j * m)
-        acc = acc / gamma_half(2 * b + j * m)
-        acc = acc / gamma_half(m + j * m)
-    return acc.to_rational()
+    return _gamma_product(
+        Fraction(1, factorial(n - 1)),
+        [2 * (a - 1 + b) + (n - 2 + j) * m for j in range(n - 1)] + [m] * (n - 1),
+        [x for j in range(n - 1) for x in (2 * a + j * m, 2 * b + j * m, m + j * m)],
+    )
 
 
 def tesler_family_volume(n: int, a: int, b: int) -> Fraction:
@@ -153,12 +111,11 @@ def tesler_family_volume(n: int, a: int, b: int) -> Fraction:
     power = (b - 1) * n + a * comb(n, 2)
     if power < 0:
         raise ValueError("factorial argument is negative")
-    acc = GammaHalfValue(Fraction(factorial(power)))
-    for i in range(n):
-        acc = acc * gamma_half(2 + a)
-        acc = acc / gamma_half(2 + (i + 1) * a)
-        acc = acc / gamma_half(2 * b + i * a)
-    return acc.to_rational()
+    return _gamma_product(
+        factorial(power),
+        [2 + a] * n,
+        [x for i in range(n) for x in (2 + (i + 1) * a, 2 * b + i * a)],
+    )
 
 
 def syt_staircase(n: int) -> int:

@@ -1,4 +1,4 @@
-"""Weak compositions and exact multinomial helpers.
+"""Weak compositions and exact binomial helpers.
 
 Everything here is plain integer arithmetic; no floats anywhere.
 """
@@ -6,7 +6,7 @@ Everything here is plain integer arithmetic; no floats anywhere.
 from __future__ import annotations
 
 from math import comb, factorial
-from typing import Iterator, Sequence
+from typing import Iterator
 
 
 def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -28,16 +28,6 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
                 yield rest + (last,)
 
     return gen(total, parts)
-
-
-def multinomial(total: int, parts: Sequence[int]) -> int:
-    """multinomial(n; i_1,...,i_k) with sum(parts) == total."""
-    if sum(parts) != total:
-        raise ValueError("parts must sum to total")
-    out = factorial(total)
-    for p in parts:
-        out //= factorial(p)
-    return out
 
 
 def binomial(x: int, k: int) -> int:

@@ -21,6 +21,7 @@ states carry the numerator and whose budget is a power numerator
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
+from operator import index
 from typing import Callable, Sequence
 
 from .compositions import compositions_weight
@@ -71,16 +72,11 @@ class Multigraph(namedtuple("Multigraph", "vertex_count edges")):
     def in_degree(self, v: int) -> int:
         return sum(m for _, j, m in self.edges if j == v)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": self.vertex_count,
-            "edges": [[i, j, m] for i, j, m in self.edges],
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "Multigraph":
-        return cls(int(data["vertices"]),
-                   tuple(tuple(int(x) for x in e) for e in data["edges"]))
+        """{"vertices": n+1, "edges": [[i, j, mult], ...]}; integers only."""
+        return cls(index(data["vertices"]),
+                   tuple(tuple(map(index, e)) for e in data["edges"]))
 
 
 def complete_graph(vertices: int) -> Multigraph:

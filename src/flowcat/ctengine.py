@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import defaultdict, namedtuple
 from math import comb
+from operator import index
 from typing import Iterator, Sequence
 
 from .compositions import weak_compositions
@@ -56,13 +57,14 @@ class CTIntegrand(namedtuple(
         one_minus_pole: Sequence[int] = (),
         vandermonde_power: int = 0,
     ) -> "CTIntegrand":
+        n_vars, vandermonde_power = index(n_vars), index(vandermonde_power)
         if n_vars < 1:
             raise ValueError("n_vars must be positive")
         numerator = tuple(
-            (int(c), tuple(int(e) for e in exps)) for c, exps in numerator
+            (index(c), tuple(map(index, exps))) for c, exps in numerator
         )
-        x_pole = tuple(int(x) for x in x_pole) or (0,) * n_vars
-        omp = tuple(int(x) for x in one_minus_pole) or (0,) * n_vars
+        x_pole = tuple(map(index, x_pole)) or (0,) * n_vars
+        omp = tuple(map(index, one_minus_pole)) or (0,) * n_vars
         for _, exps in numerator:
             if len(exps) != n_vars:
                 raise ValueError("monomial exponent vector has wrong length")
@@ -74,23 +76,14 @@ class CTIntegrand(namedtuple(
             raise ValueError("vandermonde_power must be nonnegative")
         return super().__new__(cls, n_vars, numerator, x_pole, omp, vandermonde_power)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "vars": self.n_vars,
-            "numerator": [[c, list(e)] for c, e in self.numerator],
-            "x_pole": list(self.x_pole),
-            "one_minus_pole": list(self.one_minus_pole),
-            "vandermonde": self.vandermonde_power,
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "CTIntegrand":
         return cls(
-            n_vars=int(data["vars"]),
-            numerator=tuple((c, tuple(e)) for c, e in data["numerator"]),
-            x_pole=tuple(data.get("x_pole") or ()),
-            one_minus_pole=tuple(data.get("one_minus_pole") or ()),
-            vandermonde_power=int(data.get("vandermonde", 0)),
+            n_vars=data["vars"],
+            numerator=data["numerator"],
+            x_pole=data.get("x_pole") or (),
+            one_minus_pole=data.get("one_minus_pole") or (),
+            vandermonde_power=data.get("vandermonde", 0),
         )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import zip_longest
+from operator import index
 from typing import Sequence
 
 # Listing the n! vertices of the all-ones prefix takes 2 s at n = 8, 21 s at n = 9.
@@ -40,24 +41,6 @@ class TeslerTableau(namedtuple("TeslerTableau", "n rows")):
     def ones(self) -> int:
         return sum(sum(row) for row in self.rows)
 
-    def is_valid(self, a: Sequence[int]) -> bool:
-        """The three support conditions against the netflow prefix a."""
-        a = tuple(a)
-        if len(a) != self.n:
-            return False
-        for i in range(1, self.n + 1):
-            if a[i - 1] > 0 and not self.row_nonzero(i):
-                return False
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                if self.cell(i, j) == 1 and not self.row_nonzero(j):
-                    return False
-        for j in range(1, self.n + 1):
-            col_zero = all(self.cell(i, j) == 0 for i in range(1, j))
-            if a[j - 1] == 0 and col_zero and self.row_nonzero(j):
-                return False
-        return True
-
 
 def tableau_dimension(T: TeslerTableau) -> int:
     """Number of 1s minus the number of nonzero rows."""
@@ -85,10 +68,6 @@ class DecreasingForest(namedtuple("DecreasingForest", "vertices parents")):
     def roots(self) -> frozenset[int]:
         return self.vertices - self.parents.keys()
 
-    @property
-    def leaves(self) -> frozenset[int]:
-        return self.vertices - set(self.parents.values())
-
     def parent_array(self, n: int) -> list[int | None]:
         """Length-n serialization: parent label, 0 for a root, None if the
         vertex is absent from the forest."""
@@ -97,7 +76,7 @@ class DecreasingForest(namedtuple("DecreasingForest", "vertices parents")):
 
 
 def _checked_prefix(a: Sequence[int]) -> tuple[int, ...]:
-    a = tuple(int(x) for x in a)
+    a = tuple(map(index, a))
     if any(x < 0 for x in a):
         raise ValueError("netflow prefix entries must be nonnegative")
     if len(a) > MAX_N:
@@ -154,16 +133,6 @@ def tableau_to_forest(T: TeslerTableau) -> DecreasingForest:
     # each nonzero row holds a single 1; off the diagonal it names the parent
     parents = {i: i + T.rows[i - 1].index(1) for i in vertices if not T.cell(i, i)}
     return DecreasingForest(vertices, parents)
-
-
-def forest_to_tableau(F: DecreasingForest, n: int) -> TeslerTableau:
-    """Inverse of tableau_to_forest."""
-    rows = [[0] * (n - i + 1) for i in range(1, n + 1)]
-    for v in F.vertices:
-        parent = F.parents.get(v)
-        j = parent if parent is not None else v
-        rows[v - 1][j - v] = 1
-    return TeslerTableau(n, tuple(tuple(r) for r in rows))
 
 
 def vertex_count_formula(r: int, s: int) -> int:

@@ -155,17 +155,13 @@ class EhrhartPolynomial(NamedTuple):
 
     differences: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.differences) - 1
-
     def __call__(self, t: int) -> int:
         return sum(c * binomial(t, k) for k, c in enumerate(self.differences))
 
     @property
     def normalized_volume(self) -> int:
-        """degree! times the coefficient of t^degree, the last difference;
-        0 when the polytope has dimension below the degree."""
+        """d! times the coefficient of t^d, d = len(differences) - 1: the
+        last difference; 0 when the polytope has dimension below d."""
         return self.differences[-1]
 
 

@@ -92,6 +92,16 @@ class TestVolume:
         assert code == 0
         assert json.loads(out)["volume"] == "1"
 
+    def test_non_integer_vertex_count(self, capsys, tmp_path):
+        graph = {"vertices": 3.9, "edges": [[1, 2, 1], [1, 3, 1], [2, 3, 1]]}
+        code, out, err = run(
+            capsys,
+            "volume", "--graph", write_graph(tmp_path, graph), "--netflow", "1,1,-2",
+        )
+        assert code == 1
+        assert out == ""
+        assert "integer" in err
+
     def test_constant_term_only_when_asked(self, capsys, monkeypatch):
         def eager(*args):
             raise AssertionError("tesler_ct ran without --method ct")
@@ -192,6 +202,17 @@ class TestPoints:
         assert json.loads(out)["points"] == "2"
         assert json.loads(out)["agreement"] is True
 
+    def test_non_integer_multiplicity(self, capsys, tmp_path):
+        graph = {"vertices": 3, "edges": [[1, 2, 1.5], [1, 3, 2]]}
+        code, out, err = run(
+            capsys,
+            "points", "--graph", write_graph(tmp_path, graph), "--netflow", "1,0,-1",
+            "--method", "kostant",
+        )
+        assert code == 1
+        assert out == ""
+        assert "integer" in err
+
     def test_routes_agree(self, capsys):
         code, out, _ = run(
             capsys,
@@ -262,6 +283,14 @@ class TestCt:
         code, out, _ = run(capsys, "ct", "--file", str(path))
         assert code == 0
         assert out.strip() == "6"
+
+    def test_non_integer_coefficient(self, capsys, tmp_path):
+        path = tmp_path / "integrand.json"
+        path.write_text(json.dumps({"vars": 1, "numerator": [[0.5, [0]]]}))
+        code, out, err = run(capsys, "ct", "--file", str(path))
+        assert code == 1
+        assert out == ""
+        assert "integer" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "ct", "--file", "/no/such/file.json")

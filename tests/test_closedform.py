@@ -6,11 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flowcat.closedform import (
-    GammaHalfValue,
+    _gamma_product,
     catalan,
     catalan_polytope_volume,
     cry_product,
-    gamma_half,
     morris_closed,
     morris_polytope_volume,
     syt_staircase,
@@ -20,35 +19,41 @@ from flowcat.closedform import (
 
 
 class TestGammaHalf:
+    """_gamma_product(scale, num, den) = scale * prod G(x/2) / prod G(x/2)."""
+
     def test_integer_arguments(self):
-        assert gamma_half(2).to_rational() == 1
-        assert gamma_half(8).to_rational() == 6
-        assert gamma_half(10).to_rational() == 24
+        assert _gamma_product(1, [2], []) == 1
+        assert _gamma_product(1, [8], []) == 6
+        assert _gamma_product(1, [10], []) == 24
+        assert _gamma_product(Fraction(1, 2), [10], [8]) == 2
 
     def test_half_integer_arguments(self):
-        root = gamma_half(1)
-        assert not root.is_rational
         with pytest.raises(ArithmeticError):
-            root.to_rational()
-        assert gamma_half(3) == GammaHalfValue(Fraction(1, 2), 1)
-        assert gamma_half(5) == GammaHalfValue(Fraction(3, 4), 1)
+            _gamma_product(1, [1], [])
+        with pytest.raises(ArithmeticError):
+            _gamma_product(1, [], [3])
+        # G(3/2) = sqrt(pi)/2, G(5/2) = 3 sqrt(pi)/4
+        assert _gamma_product(1, [3], [1]) == Fraction(1, 2)
+        assert _gamma_product(1, [5], [1]) == Fraction(3, 4)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            gamma_half(0)
+            _gamma_product(1, [0], [])
+        with pytest.raises(ValueError):
+            _gamma_product(1, [2], [-1])
 
     @given(st.integers(1, 20))
     def test_functional_equation(self, two_j):
         # Gamma(z + 1) = z Gamma(z) with z = two_j / 2
-        left = gamma_half(two_j + 2)
-        right = GammaHalfValue(Fraction(two_j, 2)) * gamma_half(two_j)
-        assert left == right
+        assert _gamma_product(1, [two_j + 2], [two_j]) == Fraction(two_j, 2)
+        assert _gamma_product(Fraction(two_j, 2), [two_j], [two_j + 2]) == 1
 
     def test_sqrt_pi_bookkeeping(self):
-        # Gamma(1/2)^2 = pi stays symbolic; dividing cancels it
-        sq = gamma_half(1) * gamma_half(1)
-        assert sq.e == 2
-        assert (sq / sq).to_rational() == 1
+        # Gamma(1/2)^2 = pi is not rational; dividing by it cancels it
+        with pytest.raises(ArithmeticError):
+            _gamma_product(1, [1, 1], [])
+        assert _gamma_product(1, [1, 1], [1, 1]) == 1
+        assert _gamma_product(3, [1, 3, 4], [5, 1]) == 2
 
 
 class TestCatalan:

@@ -1,4 +1,4 @@
-from math import comb, factorial
+from math import comb
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from flowcat.compositions import (
     binomial,
     compositions_weight,
-    multinomial,
     weak_compositions,
 )
 
@@ -22,15 +21,6 @@ def test_weak_composition_count(total, parts):
 def test_weak_compositions_zero_parts():
     assert list(weak_compositions(0, 0)) == [()]
     assert list(weak_compositions(3, 0)) == []
-
-
-@given(st.lists(st.integers(0, 6), min_size=1, max_size=4))
-def test_multinomial_matches_factorials(parts):
-    total = sum(parts)
-    expected = factorial(total)
-    for p in parts:
-        expected //= factorial(p)
-    assert multinomial(total, parts) == expected
 
 
 def test_generalized_binomial():

@@ -68,9 +68,8 @@ class TestMultigraph:
             Multigraph(0)
 
     def test_json_round_trip(self):
-        G = morris_graph(5, 2, 1, 3)
-        data = json.loads(json.dumps(G.to_json_dict()))
-        assert Multigraph.from_json_dict(data) == G
+        data = json.loads('{"vertices": 4, "edges": [[1, 2], [1, 2, 2], [2, 4, 1], [3, 4, 0]]}')
+        assert Multigraph.from_json_dict(data) == Multigraph(4, ((1, 2, 3), (2, 4, 1)))
 
 
 class TestFamilies:

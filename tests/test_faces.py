@@ -12,12 +12,44 @@ from flowcat.faces import (
     TeslerTableau,
     catalan_polytope_vertices,
     f_vector,
-    forest_to_tableau,
     tableau_dimension,
     tableau_to_forest,
     vertex_count_formula,
     vertex_tableaux,
 )
+
+
+def is_valid(T, a):
+    """The three support conditions of an a-Tesler tableau, checked cell by
+    cell."""
+    n = T.n
+    if len(a) != n:
+        return False
+    for i in range(1, n + 1):
+        if a[i - 1] > 0 and not T.row_nonzero(i):
+            return False
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if T.cell(i, j) == 1 and not T.row_nonzero(j):
+                return False
+    for j in range(1, n + 1):
+        col_zero = all(T.cell(i, j) == 0 for i in range(1, j))
+        if a[j - 1] == 0 and col_zero and T.row_nonzero(j):
+            return False
+    return True
+
+
+def forest_to_tableau(F, n):
+    """Inverse of tableau_to_forest: vertex v puts its 1 in column
+    parent(v), or on the diagonal if it is a root."""
+    rows = [[0] * (n - i + 1) for i in range(1, n + 1)]
+    for v in F.vertices:
+        rows[v - 1][F.parents.get(v, v) - v] = 1
+    return TeslerTableau(n, tuple(tuple(r) for r in rows))
+
+
+def leaves(F):
+    return F.vertices - set(F.parents.values())
 
 
 def brute_enumerate(a):
@@ -34,7 +66,7 @@ def brute_enumerate(a):
             rows.append(tuple(bits[pos : pos + w]))
             pos += w
         T = TeslerTableau(n, tuple(rows))
-        if T.is_valid(a):
+        if is_valid(T, a):
             out.append(T)
     return out
 
@@ -88,6 +120,11 @@ class TestEnumeration:
             with pytest.raises(ValueError):
                 fn((1, -1))
 
+    def test_rejects_non_integer_entries(self):
+        for fn in (f_vector, vertex_tableaux):
+            with pytest.raises(TypeError):
+                fn((0.5, 1))
+
     def test_size_bound(self):
         for fn in (f_vector, vertex_tableaux):
             with pytest.raises(ValueError, match=f"n <= {MAX_N}"):
@@ -134,7 +171,7 @@ class TestForests:
     def test_roots_and_leaves(self):
         F = DecreasingForest(frozenset({1, 2, 3, 5}), {1: 3, 2: 3})
         assert F.roots == {3, 5}
-        assert F.leaves == {1, 2, 5}
+        assert leaves(F) == {1, 2, 5}
         assert F.parent_array(5) == [3, 3, 0, None, 0]
 
     @settings(max_examples=20, deadline=None)
@@ -153,7 +190,7 @@ class TestForests:
         support = {i + 1 for i, x in enumerate(a) if x > 0}
         for T in vertex_tableaux(a):
             F = tableau_to_forest(T)
-            assert F.leaves <= support
+            assert leaves(F) <= support
 
 
 class TestVertexCounts:

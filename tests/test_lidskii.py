@@ -1,9 +1,11 @@
+from math import factorial, prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcat.closedform import catalan_polytope_volume, cry_product
-from flowcat.compositions import binomial, multinomial, weak_compositions
+from flowcat.compositions import binomial, weak_compositions
 from flowcat.core import (
     Multigraph,
     complete_graph,
@@ -37,9 +39,13 @@ def reference_sum(G, a, coefficient):
     return total
 
 
+def multinomial(parts):
+    return factorial(sum(parts)) // prod(map(factorial, parts))
+
+
 def reference_volume(G, a):
     def coefficient(comp):
-        coeff = multinomial(sum(comp), comp)
+        coeff = multinomial(comp)
         for ak, ik in zip(a, comp):
             coeff *= ak**ik
         return coeff
@@ -185,7 +191,7 @@ class TestEhrhart:
     def test_polynomial_shape(self):
         G = complete_graph(4)
         p = ehrhart_polynomial(G, (1, 1, 0, -2))
-        assert p.degree == G.edge_count - 3
+        assert len(p.differences) - 1 == G.edge_count - 3
         assert p(0) == 1
         assert p(1) == kostant(G, (1, 1, 0, -2))
         assert p.normalized_volume == 4
@@ -234,4 +240,4 @@ class TestEhrhart:
             delta[j - 1] -= m
         for t in range(1, 6):
             interior = kostant(G, tuple(t * x - dx for x, dx in zip(a, delta)))
-            assert (-1) ** p.degree * p(-t) == interior
+            assert (-1) ** (len(p.differences) - 1) * p(-t) == interior

@@ -7,13 +7,11 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
 import flowcat
 from flowcat import cli, faces, verify
-from flowcat.closedform import GammaHalfValue, gamma_half
 from flowcat.core import Multigraph
 from flowcat.ctengine import CTIntegrand
 from flowcat.faces import DecreasingForest, TeslerTableau
@@ -154,8 +152,6 @@ RECORDS = [
      "EhrhartPolynomial(differences=(1, 2))"),
     (lambda: CheckResult("n=2", 4, 4), "actual",
      "CheckResult(label='n=2', expected=4, actual=4)"),
-    (lambda: GammaHalfValue(Fraction(1, 2), 1), "q",
-     "GammaHalfValue(q=Fraction(1, 2), e=1)"),
 ]
 
 
@@ -172,15 +168,6 @@ class TestRecords:
 
     def test_hash_follows_equality(self):
         assert hash(Multigraph(2, ((1, 2),))) == hash(Multigraph(2, ((1, 2, 1),)))
-        assert hash(gamma_half(3)) == hash(GammaHalfValue(Fraction(1, 2), 1))
-        assert gamma_half(3) != gamma_half(5)
-
-    def test_gamma_value_is_not_a_sequence(self):
-        with pytest.raises(TypeError):
-            2 * gamma_half(3)
-        with pytest.raises(TypeError):
-            gamma_half(3) + gamma_half(3)
-        assert gamma_half(3) * gamma_half(3) == GammaHalfValue(Fraction(1, 4), 2)
 
     def test_keyword_construction_validates(self):
         assert Multigraph(vertex_count=2, edges=((1, 2), (1, 2))).edges == ((1, 2, 2),)
