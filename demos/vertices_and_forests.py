@@ -19,13 +19,12 @@ def main() -> None:
     print(f"  euler check: {sum((-1) ** d * c for d, c in enumerate(fv))}")
 
     print("vertices as decreasing forests (parent, 0 = root, - = absent):")
-    for T in vertex_tableaux(a):
-        F = tableau_to_forest(T)
-        cells = " / ".join("".join(map(str, row)) for row in T.rows)
-        parents = " ".join(
-            "-" if p is None else str(p) for p in F.parent_array(len(a))
-        )
-        print(f"  [{cells}]  ->  parents: {parents}  roots: {sorted(F.roots)}")
+    for rows in vertex_tableaux(a):
+        parents = tableau_to_forest(rows)
+        cells = " / ".join("".join(map(str, row)) for row in rows)
+        shown = " ".join("-" if p is None else str(p) for p in parents)
+        roots = [v for v, p in enumerate(parents, start=1) if p == 0]
+        print(f"  [{cells}]  ->  parents: {shown}  roots: {roots}")
 
 
 if __name__ == "__main__":

@@ -24,9 +24,8 @@ _EXPORTS = {
                 "tesler_graph",
         "ctengine": "CTIntegrand catalan_polytope_ct constant_term morris_ct "
                     "reduction_identity_sides tesler_ct verify_reduction_bijection",
-        "faces": "DecreasingForest TeslerTableau catalan_polytope_vertices f_vector "
-                 "tableau_dimension tableau_to_forest vertex_count_formula "
-                 "vertex_tableaux",
+        "faces": "catalan_polytope_vertices f_vector tableau_dimension "
+                 "tableau_to_forest vertex_count_formula vertex_tableaux",
         "lidskii": "EhrhartPolynomial NotFullDimensionalError ehrhart_polynomial "
                    "lidskii_points lidskii_volume ps_volume",
     }.items()

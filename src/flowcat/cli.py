@@ -178,10 +178,8 @@ def _cmd_vertices(args, out) -> int:
         return 0
     payload: dict[str, object] = {"count": str(len(tableaux))}
     if args.enumerate and not args.count_only:
-        payload["tableaux"] = [[list(row) for row in T.rows] for T in tableaux]
-        payload["forests"] = [
-            faces.tableau_to_forest(T).parent_array(len(a)) for T in tableaux
-        ]
+        payload["tableaux"] = [[list(row) for row in rows] for rows in tableaux]
+        payload["forests"] = [faces.tableau_to_forest(rows) for rows in tableaux]
     _emit(payload, args.format, out)
     return 0
 

@@ -33,7 +33,8 @@ class Multigraph(namedtuple("Multigraph", "vertex_count edges")):
     """Loopless directed multigraph on vertices 1..vertex_count, edges i < j.
 
     Parallel (source, target) entries are merged on construction; the stored
-    edge list is sorted and duplicate free.
+    edge list is sorted and duplicate free.  Labels and multiplicities must
+    be integers: a float raises TypeError.
     """
 
     __slots__ = ()
@@ -41,14 +42,12 @@ class Multigraph(namedtuple("Multigraph", "vertex_count edges")):
     def __new__(
         cls, vertex_count: int, edges: Sequence[Sequence[int]] = ()
     ) -> "Multigraph":
+        vertex_count = index(vertex_count)
         if vertex_count < 1:
             raise ValueError("vertex_count must be at least 1")
         merged: dict[tuple[int, int], int] = defaultdict(int)
         for entry in edges:
-            if len(entry) == 2:
-                (i, j), m = entry, 1
-            else:
-                i, j, m = entry
+            i, j, m = map(index, entry if len(entry) == 3 else (*entry, 1))
             if not (1 <= i <= vertex_count and 1 <= j <= vertex_count):
                 raise ValueError(f"edge ({i},{j}) uses an invalid vertex label")
             if i >= j:
@@ -75,8 +74,7 @@ class Multigraph(namedtuple("Multigraph", "vertex_count edges")):
     @classmethod
     def from_json_dict(cls, data: dict) -> "Multigraph":
         """{"vertices": n+1, "edges": [[i, j, mult], ...]}; integers only."""
-        return cls(index(data["vertices"]),
-                   tuple(tuple(map(index, e)) for e in data["edges"]))
+        return cls(data["vertices"], data["edges"])
 
 
 def complete_graph(vertices: int) -> Multigraph:
@@ -133,7 +131,7 @@ def kostant(G: Multigraph, b: Sequence[int]) -> int:
     signed root sum equals b, by one run of the flow sweep (`_flow_sweep`)
     with no budget.
     """
-    b = tuple(int(x) for x in b)
+    b = tuple(map(index, b))
     if len(b) != G.vertex_count:
         raise ValueError("vector length must equal the vertex count")
     if sum(b) != 0:

@@ -180,7 +180,7 @@ def reduction_identity_sides(n: int, a_vec: Sequence[int]) -> tuple[int, int]:
     where a = sum(a_vec).  For C(n,2) - a < 0 both sides are the empty
     binomial sum and are returned as 0.
     """
-    a_vec = tuple(int(x) for x in a_vec)
+    a_vec = tuple(map(index, a_vec))
     if len(a_vec) != n:
         raise ValueError("a_vec must have length n")
     if n < 2:
@@ -229,7 +229,7 @@ def staircase_matrices(
     the diagonal, so the rows are built top down; the rows below the
     targeted ones are not part of the result.
     """
-    targets = tuple(int(h) for h in hook_targets)
+    targets = tuple(map(index, hook_targets))
 
     def rec(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
         i = len(rows)
@@ -266,7 +266,7 @@ def verify_reduction_bijection(n: int, a_vec: Sequence[int]) -> tuple[str, ...]:
     Returns the first 10 failures, so the bijection holds when the result is
     empty.
     """
-    a_vec = tuple(int(x) for x in a_vec)
+    a_vec = tuple(map(index, a_vec))
     if len(a_vec) != n:
         raise ValueError("a_vec must have length n")
     if n < 2 or n > 5:

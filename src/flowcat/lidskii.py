@@ -19,6 +19,7 @@ reduction.
 from __future__ import annotations
 
 from math import comb
+from operator import index
 from typing import Callable, NamedTuple, Sequence
 
 from .compositions import binomial
@@ -33,7 +34,7 @@ class NotFullDimensionalError(ValueError):
 
 
 def _check_netflow(G: Multigraph, netflow: Sequence[int]) -> tuple[int, ...]:
-    a = tuple(int(x) for x in netflow)
+    a = tuple(map(index, netflow))
     if len(a) != G.vertex_count:
         raise ValueError("netflow length must equal the vertex count")
     if sum(a) != 0:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import comb
+from operator import index
 from typing import Callable, NamedTuple, Sequence
 
 from .closedform import (
@@ -282,60 +283,41 @@ def suite_series_expansion(max_n: int = 3) -> list[CheckResult]:
 def vertices_by_acyclic_support(a: Sequence[int]) -> int:
     """Vertices of F_{K_{n+1}}(a') counted independently of tableaux: flows
     whose support is a forest, found by solving the unique flow on every
-    acyclic edge subset and keeping the strictly positive ones."""
-    a = tuple(int(x) for x in a)
+    acyclic edge subset and keeping the strictly positive ones.  Peeling an
+    edge at a degree-1 vertex forces its flow; the peeling stalls with edges
+    left exactly when the subset has a cycle."""
+    a = tuple(map(index, a))
     n1 = len(a) + 1
     netflow = a + (-sum(a),)
     edges = [(i, j) for i in range(1, n1 + 1) for j in range(i + 1, n1 + 1)]
     count = 0
     for mask in range(1 << len(edges)):
-        subset = [e for k, e in enumerate(edges) if mask >> k & 1]
-        # forest test (undirected) via union-find
-        parent = list(range(n1 + 1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        acyclic = True
-        for i, j in subset:
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                acyclic = False
-                break
-            parent[ri] = rj
-        if not acyclic:
+        if mask.bit_count() >= n1:  # a forest on n+1 vertices has at most n edges
             continue
-        # peel leaves; each forced flow must be strictly positive
+        live = [e for k, e in enumerate(edges) if mask >> k & 1]
         residual = list(netflow)
-        remaining = {e: None for e in subset}
         degree = [0] * (n1 + 1)
-        for i, j in subset:
+        for i, j in live:
             degree[i] += 1
             degree[j] += 1
-        live = list(remaining)
-        good = True
-        while live:
-            progressed = False
+        peeling = True
+        while live and peeling:
+            peeling = False
             for e in list(live):
                 i, j = e
                 if degree[i] == 1 or degree[j] == 1:
-                    leaf, other = (i, j) if degree[i] == 1 else (j, i)
-                    flow = residual[leaf - 1] if leaf == i else -residual[leaf - 1]
-                    if flow <= 0:
-                        good = False
+                    # the leaf's whole netflow crosses its one edge, from i to j
+                    flow = residual[i - 1] if degree[i] == 1 else -residual[j - 1]
+                    if flow <= 0:  # stop with e left: not a vertex
+                        peeling = False
                         break
                     residual[i - 1] -= flow
                     residual[j - 1] += flow
                     degree[i] -= 1
                     degree[j] -= 1
                     live.remove(e)
-                    progressed = True
-            if not good or not progressed:
-                break
-        if good and not live and all(x == 0 for x in residual):
+                    peeling = True
+        if not live and not any(residual):
             count += 1
     return count
 

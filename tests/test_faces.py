@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from flowcat.faces import (
     MAX_N,
-    DecreasingForest,
-    TeslerTableau,
     catalan_polytope_vertices,
     f_vector,
     tableau_dimension,
@@ -17,39 +15,52 @@ from flowcat.faces import (
     vertex_count_formula,
     vertex_tableaux,
 )
+from flowcat.verify import vertices_by_acyclic_support
 
 
-def is_valid(T, a):
+def cell(rows, i, j):
+    return rows[i - 1][j - i]
+
+
+def is_valid(rows, a):
     """The three support conditions of an a-Tesler tableau, checked cell by
     cell."""
-    n = T.n
+    n = len(rows)
     if len(a) != n:
         return False
+    nonzero = [any(row) for row in rows]
     for i in range(1, n + 1):
-        if a[i - 1] > 0 and not T.row_nonzero(i):
+        if a[i - 1] > 0 and not nonzero[i - 1]:
             return False
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            if T.cell(i, j) == 1 and not T.row_nonzero(j):
+            if cell(rows, i, j) == 1 and not nonzero[j - 1]:
                 return False
     for j in range(1, n + 1):
-        col_zero = all(T.cell(i, j) == 0 for i in range(1, j))
-        if a[j - 1] == 0 and col_zero and T.row_nonzero(j):
+        col_zero = all(cell(rows, i, j) == 0 for i in range(1, j))
+        if a[j - 1] == 0 and col_zero and nonzero[j - 1]:
             return False
     return True
 
 
-def forest_to_tableau(F, n):
+def forest_to_tableau(parents):
     """Inverse of tableau_to_forest: vertex v puts its 1 in column
     parent(v), or on the diagonal if it is a root."""
-    rows = [[0] * (n - i + 1) for i in range(1, n + 1)]
-    for v in F.vertices:
-        rows[v - 1][F.parents.get(v, v) - v] = 1
-    return TeslerTableau(n, tuple(tuple(r) for r in rows))
+    n = len(parents)
+    rows = [[0] * (n - i) for i in range(n)]
+    for v, p in enumerate(parents, start=1):
+        if p is not None:
+            rows[v - 1][(p or v) - v] = 1
+    return tuple(map(tuple, rows))
 
 
-def leaves(F):
-    return F.vertices - set(F.parents.values())
+def roots(parents):
+    return {v for v, p in enumerate(parents, start=1) if p == 0}
+
+
+def leaves(parents):
+    present = {v for v, p in enumerate(parents, start=1) if p is not None}
+    return present - set(parents)
 
 
 def brute_enumerate(a):
@@ -65,38 +76,37 @@ def brute_enumerate(a):
         for w in shapes:
             rows.append(tuple(bits[pos : pos + w]))
             pos += w
-        T = TeslerTableau(n, tuple(rows))
-        if is_valid(T, a):
-            out.append(T)
+        if is_valid(rows, a):
+            out.append(tuple(rows))
     return out
 
 
 class TestTableau:
     def test_cell_addressing(self):
-        T = TeslerTableau(3, ((1, 0, 1), (0, 1), (1,)))
-        assert T.cell(1, 1) == 1
-        assert T.cell(1, 3) == 1
-        assert T.cell(2, 3) == 1
-        assert T.cell(3, 3) == 1
-        assert T.ones() == 4
+        # rows[i-1][j-i] is cell (i, j): the 1s at (1, 3) and (2, 3) name
+        # parent 3, the 1 at (3, 3) makes 3 a root
+        rows = ((0, 0, 1), (0, 1), (1,))
+        assert [cell(rows, 1, 3), cell(rows, 2, 3), cell(rows, 3, 3)] == [1, 1, 1]
+        assert tableau_to_forest(rows) == [3, 3, 0]
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            TeslerTableau(2, ((1, 0),))
-        with pytest.raises(ValueError):
-            TeslerTableau(2, ((2, 0), (0,)))
+        for rows in (((1, 0),), ((1,), (1, 0)), ((2, 0), (0,))):
+            with pytest.raises(ValueError):
+                tableau_dimension(rows)
+        with pytest.raises(ValueError, match="dimension-0"):
+            tableau_to_forest(((1, 1), (1,)))
 
     def test_dimension(self):
-        T = TeslerTableau(3, ((1, 1, 0), (0, 1), (1,)))
-        assert tableau_dimension(T) == 4 - 3
+        assert tableau_dimension(((1, 1, 0), (0, 1), (1,))) == 4 - 3
+        assert tableau_dimension(()) == 0
 
 
 def assert_matches_brute_force(a):
     tableaux = brute_enumerate(a)
     dims = Counter(tableau_dimension(T) for T in tableaux)
     assert f_vector(a) == [dims[d] for d in range(max(dims) + 1)]
-    vertices = {T.rows for T in tableaux if tableau_dimension(T) == 0}
-    assert {T.rows for T in vertex_tableaux(a)} == vertices
+    vertices = {rows for rows in tableaux if tableau_dimension(rows) == 0}
+    assert set(vertex_tableaux(a)) == vertices
 
 
 class TestEnumeration:
@@ -112,8 +122,7 @@ class TestEnumeration:
 
     def test_zero_netflow_single_tableau(self):
         assert f_vector((0, 0, 0)) == [1]
-        (T,) = vertex_tableaux((0, 0, 0))
-        assert T.ones() == 0
+        assert vertex_tableaux((0, 0, 0)) == [((0, 0, 0), (0, 0), (0,))]
 
     def test_rejects_negative_entries(self):
         for fn in (f_vector, vertex_tableaux):
@@ -163,34 +172,37 @@ class TestFVector:
 
 class TestForests:
     def test_decreasing_constraint(self):
-        with pytest.raises(ValueError):
-            DecreasingForest(frozenset({1, 2}), {2: 1})
-        with pytest.raises(ValueError):
-            DecreasingForest(frozenset({2}), {2: 3})
+        # every parent is a vertex of the forest and larger than its child
+        for n in range(1, 5):
+            for a in product((0, 1, 2), repeat=n):
+                for rows in vertex_tableaux(a):
+                    parents = tableau_to_forest(rows)
+                    for v, p in enumerate(parents, start=1):
+                        if p:
+                            assert p > v and parents[p - 1] is not None
 
     def test_roots_and_leaves(self):
-        F = DecreasingForest(frozenset({1, 2, 3, 5}), {1: 3, 2: 3})
-        assert F.roots == {3, 5}
-        assert leaves(F) == {1, 2, 5}
-        assert F.parent_array(5) == [3, 3, 0, None, 0]
+        rows = ((0, 0, 1, 0, 0), (0, 1, 0, 0), (1, 0, 0), (0, 0), (1,))
+        parents = tableau_to_forest(rows)
+        assert parents == [3, 3, 0, None, 0]
+        assert roots(parents) == {3, 5}
+        assert leaves(parents) == {1, 2, 5}
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(0, 1), min_size=2, max_size=5))
     def test_round_trip(self, a):
         n = len(a)
-        for T in vertex_tableaux(a):
-            F = tableau_to_forest(T)
-            assert forest_to_tableau(F, n).rows == T.rows
+        for rows in vertex_tableaux(a):
+            parents = tableau_to_forest(rows)
+            assert forest_to_tableau(parents) == rows
             # vertices with a 1 on the diagonal are exactly the roots
-            diag = {i for i in range(1, n + 1) if T.cell(i, i) == 1}
-            assert F.roots == diag
+            assert roots(parents) == {i for i in range(1, n + 1) if cell(rows, i, i)}
 
     def test_leaves_lie_in_support(self):
         a = (1, 0, 1, 0)
         support = {i + 1 for i, x in enumerate(a) if x > 0}
-        for T in vertex_tableaux(a):
-            F = tableau_to_forest(T)
-            assert leaves(F) <= support
+        for rows in vertex_tableaux(a):
+            assert leaves(tableau_to_forest(rows)) <= support
 
 
 class TestVertexCounts:
@@ -204,6 +216,11 @@ class TestVertexCounts:
             for s in range(3):
                 a = (1,) + (0,) * r + (1,) + (0,) * s
                 assert len(vertex_tableaux(a)) == vertex_count_formula(r, s)
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.lists(st.integers(0, 2), min_size=5, max_size=5))
+    def test_acyclic_supports_at_n_5(self, a):
+        assert vertices_by_acyclic_support(a) == len(vertex_tableaux(a))
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """The package surface: which modules a query runs, the lazy namespace, the
-parser's literal copies of engine constants, and the record types."""
+parser's literal copies of engine constants, the record types, and the
+integer check of the entry points."""
 
 import argparse
 import importlib
@@ -12,11 +13,15 @@ import pytest
 
 import flowcat
 from flowcat import cli, faces, verify
-from flowcat.core import Multigraph
-from flowcat.ctengine import CTIntegrand
-from flowcat.faces import DecreasingForest, TeslerTableau
-from flowcat.lidskii import EhrhartPolynomial
-from flowcat.verify import CheckResult
+from flowcat.core import Multigraph, complete_graph, kostant
+from flowcat.ctengine import (
+    CTIntegrand,
+    reduction_identity_sides,
+    staircase_matrices,
+    verify_reduction_bijection,
+)
+from flowcat.lidskii import EhrhartPolynomial, ehrhart_polynomial, lidskii_points
+from flowcat.verify import CheckResult, vertices_by_acyclic_support
 
 # Runs one query in a fresh interpreter (with no arguments it only imports the
 # package) and prints, on its last line, the flowcat modules that executed (a
@@ -144,10 +149,6 @@ RECORDS = [
     (lambda: CTIntegrand(1, ((1, (0,)),), one_minus_pole=(2,)), "numerator",
      "CTIntegrand(n_vars=1, numerator=((1, (0,)),), x_pole=(0,), "
      "one_minus_pole=(2,), vandermonde_power=0)"),
-    (lambda: TeslerTableau(2, ((1, 0), (1,))), "rows",
-     "TeslerTableau(n=2, rows=((1, 0), (1,)))"),
-    (lambda: DecreasingForest(frozenset({1, 2}), {1: 2}), "parents",
-     "DecreasingForest(vertices=frozenset({1, 2}), parents={1: 2})"),
     (lambda: EhrhartPolynomial((1, 2)), "differences",
      "EhrhartPolynomial(differences=(1, 2))"),
     (lambda: CheckResult("n=2", 4, 4), "actual",
@@ -173,3 +174,24 @@ class TestRecords:
         assert Multigraph(vertex_count=2, edges=((1, 2), (1, 2))).edges == ((1, 2, 2),)
         with pytest.raises(ValueError, match="vandermonde_power"):
             CTIntegrand(n_vars=1, numerator=(), vandermonde_power=-1)
+
+
+# Non-integer inputs that `int()` used to truncate into a wrong answer.
+FLOAT_INPUTS = {
+    "kostant half units": lambda: kostant(complete_graph(3), (0.5, -0.5, 0)),
+    "kostant sum 0.9": lambda: kostant(complete_graph(3), (1.9, 0, -1)),
+    "lidskii_points": lambda: lidskii_points(complete_graph(3), (2.7, 0, -2.7)),
+    "ehrhart_polynomial": lambda: ehrhart_polynomial(complete_graph(3), (1.2, 0, -1.2)),
+    "reduction_identity_sides": lambda: reduction_identity_sides(2, (0.9, 0.2)),
+    "verify_reduction_bijection": lambda: verify_reduction_bijection(2, (0.9, 0.2)),
+    "staircase_matrices": lambda: staircase_matrices(3, (0.5,)),
+    "vertices_by_acyclic_support": lambda: vertices_by_acyclic_support((1.5, 0)),
+    "multigraph multiplicity": lambda: Multigraph(3, ((1, 2, 1.5), (2, 3))),
+    "multigraph vertex count": lambda: Multigraph(3.0, ((1, 2),)),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_INPUTS.values(), ids=FLOAT_INPUTS.keys())
+def test_float_inputs_raise_type_error(call):
+    with pytest.raises(TypeError):
+        call()
