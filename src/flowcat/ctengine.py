@@ -23,12 +23,15 @@ The matrix section enumerates those staircase matrices explicitly, as
 tuples of row tuples (a row sum is `sum(row)`, a hook sum `_hook_sum`).
 `staircase_matrices` builds the rows whose hook sums are pinned, and
 `verify_reduction_bijection` checks the drop-two-rows bijection behind
-`reduction_identity_sides` on them.
+`reduction_identity_sides` on them, on indices into the cropped family Y
+with each member's column sum computed once.  The identity's right-hand
+CT depends only on the head of the vector, so it is memoized per head.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
+from functools import lru_cache
 from math import comb
 from operator import index
 from typing import Iterator, Sequence
@@ -192,20 +195,18 @@ def reduction_identity_sides(n: int, a_vec: Sequence[int]) -> tuple[int, int]:
     head, pair = a_vec[: n - 2], a_vec[n - 2:]
     f = CTIntegrand(n, ((1, head + pair), (1, head + pair[::-1])),
                     vandermonde_power=1)
-    lhs = _power_ct(f, (n - 1, n), R)
+    return _power_ct(f, (n - 1, n), R), (2**R) * _reduction_rhs_ct(head)
 
-    if n == 2:
-        rhs_ct = 1
-    else:
-        rhs_ct = constant_term(
-            CTIntegrand(
-                n - 2,
-                ((1, head),),
-                one_minus_pole=(2,) * (n - 2),
-                vandermonde_power=1,
-            )
-        )
-    return lhs, (2**R) * rhs_ct
+
+@lru_cache(maxsize=128)
+def _reduction_rhs_ct(head: tuple[int, ...]) -> int:
+    """CT over k = len(head) variables of prod x_i^{a_i} (1-x_i)^{-2}
+    / prod_{i<j} (x_j - x_i); memoized, since many vectors share a head."""
+    k = len(head)
+    if k == 0:
+        return 1
+    return constant_term(CTIntegrand(k, ((1, head),), one_minus_pole=(2,) * k,
+                                     vandermonde_power=1))
 
 
 # --- explicit matrix enumeration and the reduction bijection -----------------
@@ -245,26 +246,30 @@ def staircase_matrices(
     return rec(())
 
 
-def _square_rows(Y: Sequence[tuple], n: int, hook_target: int) -> Iterator[tuple]:
-    """staircase_matrices(n, head + (hook_target,)) built from its rows
-    Y = staircase_matrices(n, head): row n-1 has one free entry, fixed by h_{n-1}."""
-    for C in Y:
-        last = hook_target + (n - 2) + sum(row[n - 2] for row in C)
-        if last >= 0:
-            yield C + ((0,) * (n - 2) + (n - 2, last),)
+def _square_rows(diag: Sequence[int], hook_target: int) -> Iterator[tuple[int, int]]:
+    """Rows 1..n-1 of staircase_matrices(n, head + (hook_target,)): each
+    member i of Y = staircase_matrices(n, head) plus its row n-1, which has
+    one free entry, fixed by h_{n-1}.  diag[i] is member i's column n-1 sum
+    down to the diagonal; yields (i, free entry) where that entry is >= 0."""
+    for i, d in enumerate(diag):
+        if hook_target + d >= 0:
+            yield i, hook_target + d
 
 
 def verify_reduction_bijection(n: int, a_vec: Sequence[int]) -> tuple[str, ...]:
     """Machine-check the bijection behind the CT reduction identity.
 
-    Enumerates the cropped family Y once; rows 1..n-1 of the square-matrix
-    families X (hook sum h_{n-1} pinned through a_{n-1}) and X' (pinned
-    through a_n) are each a Y member plus its row n-1 (`_square_rows`).
-    Applies the drop-two-rows map (with column swap and index complement on
-    the X' side) and verifies it is a bijection onto Y x {0..C(n,2)-a}, with
-    the side selected by exactly one of the two threshold inequalities.
-    Returns the first 10 failures, so the bijection holds when the result is
-    empty.
+    Enumerates the cropped family Y once and works on Y indices: per member
+    it keeps its column n-1 sum and the Y index of its crop on each side
+    (on the X' side after the column swap).  Rows 1..n-1 of the
+    square-matrix families X (hook sum h_{n-1} pinned through a_{n-1}) and
+    X' (pinned through a_n) are each a Y member plus its row n-1
+    (`_square_rows`).  Applies the drop-two-rows map (with column swap and
+    index complement on the X' side) and verifies it is a bijection onto
+    Y x {0..C(n,2)-a}, with the side selected by exactly one of the two
+    threshold inequalities; an image (member j, index t) is keyed by the
+    int j(R+1) + t.  Returns the first 10 failures, so the bijection holds
+    when the result is empty.
     """
     a_vec = tuple(map(index, a_vec))
     if len(a_vec) != n:
@@ -276,43 +281,45 @@ def verify_reduction_bijection(n: int, a_vec: Sequence[int]) -> tuple[str, ...]:
         return ()
     head = tuple(-x for x in a_vec[: n - 2])
     Y = list(staircase_matrices(n, head))
-    y_set = set(Y)
+    pos = {C: i for i, C in enumerate(Y)}
+    # per member: column n-1 down to the diagonal, and the Y index of its
+    # crop on each side (None when the crop is not in Y)
+    diag = [n - 2 + sum(row[n - 2] for row in C) for C in Y]
+    own = [pos[C] for C in Y]
+    swapped = [pos.get(tuple(r[: n - 2] + (r[n - 1], r[n - 2]) for r in C)) for C in Y]
 
     failures: list[str] = []
-    images: dict[tuple, str] = {}
-    for tag, anchor in (("X", a_vec[n - 2]), ("X'", a_vec[n - 1])):
+    images: dict[int, str] = {}
+    for tag, anchor, crop in (("X", a_vec[n - 2], own), ("X'", a_vec[n - 1], swapped)):
         for t_window in range(R + 1):
-            # rows 1..n-1 of the square matrices; the last row has no free entries
-            for A in _square_rows(Y, n, -anchor - t_window):
-                t = -anchor - _hook_sum(A, n - 1)
-                B = A[: n - 2]
+            for i, last in _square_rows(diag, -anchor - t_window):
+                t = -anchor - (last - diag[i])  # h_{n-1} of the square rows
                 if tag == "X'":
-                    B = tuple(r[: n - 2] + (r[n - 1], r[n - 2]) for r in B)
                     t = R - t
-                if B not in y_set:
+                j = crop[i]
+                if j is None:
                     failures.append(f"{tag}: cropped matrix not in Y")
                     continue
                 if not 0 <= t <= R:
                     failures.append(f"{tag}: image index {t} out of range")
                     continue
-                if (B, t) in images:
+                if j * (R + 1) + t in images:
                     failures.append(f"duplicate image at index {t}")
-                images[B, t] = tag
+                images[j * (R + 1) + t] = tag
 
     if len(images) != len(Y) * (R + 1):
         failures.append(
             f"image count {len(images)} != |Y| * (R+1) = {len(Y) * (R + 1)}"
         )
 
-    for B in Y:
-        c = sum(row[n - 2] for row in B)
+    for j, d in zip(own, diag):
         for t in range(R + 1):
-            in_x = c + (n - 2) - a_vec[n - 2] - t >= 0
-            in_xp = c + (n - 1) - a_vec[n - 2] - t <= 0
+            in_x = d - a_vec[n - 2] - t >= 0
+            in_xp = d + 1 - a_vec[n - 2] - t <= 0
             if in_x == in_xp:
                 failures.append(f"threshold dichotomy fails at t={t}")
                 continue
-            got = images.get((B, t))
+            got = images.get(j * (R + 1) + t)
             if got is None:
                 failures.append(f"no preimage for index {t}")
             elif (got == "X") != in_x:

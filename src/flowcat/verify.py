@@ -325,10 +325,10 @@ def vertices_by_acyclic_support(a: Sequence[int]) -> int:
 def suite_faces(max_rs: int = 4) -> list[CheckResult]:
     """Vertex counts: tableau enumeration vs the 2^{r+1} 3^s formula, the
     2 * 3^{n-2} corollary for n = 2..6, and the acyclic-support
-    enumeration.  The r, s checks have n = r+s+2, so max_rs > MAX_N - 2 is
-    rejected before any work."""
-    if max_rs > MAX_N - 2:
-        raise ValueError(f"faces are computed for n <= {MAX_N}, so max_rs <= {MAX_N - 2}")
+    enumeration.  The r, s checks have n = r+s+2, so max_rs outside
+    0..MAX_N - 2 is rejected before any work."""
+    if not 0 <= max_rs <= MAX_N - 2:
+        raise ValueError(f"faces are computed for n <= {MAX_N}, so 0 <= max_rs <= {MAX_N - 2}")
     out = []
     for r in range(max_rs + 1):
         for s in range(max_rs - r + 1):

@@ -352,6 +352,18 @@ class TestVerify:
         assert code == 1
         assert f"max_rs <= {MAX_N - 2}" in err
 
+    def test_faces_rejects_negative_max_n_before_any_work(
+        self, capsys, monkeypatch
+    ):
+        def work(*args):
+            raise AssertionError("the suite started before checking --max-n")
+
+        monkeypatch.setattr("flowcat.verify.vertex_tableaux", work)
+        code, out, err = run(capsys, "verify", "--suite", "faces", "--max-n", "-1")
+        assert code == 1
+        assert out == ""
+        assert f"0 <= max_rs <= {MAX_N - 2}" in err
+
 
 class TestParsing:
     def test_missing_subcommand(self, capsys):

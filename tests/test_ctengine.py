@@ -1,4 +1,5 @@
 import json
+import random
 from collections import defaultdict
 from itertools import product
 from math import comb, factorial, prod
@@ -14,6 +15,7 @@ from flowcat.ctengine import (
     CTIntegrand,
     _hook_sum,
     _power_ct,
+    _reduction_rhs_ct,
     _square_rows,
     catalan_polytope_ct,
     constant_term,
@@ -23,7 +25,7 @@ from flowcat.ctengine import (
     tesler_ct,
     verify_reduction_bijection,
 )
-from flowcat.verify import _series_histogram
+from flowcat.verify import _series_histogram, suite_reduction_identity
 
 
 def series_ct(f: CTIntegrand, bound: int) -> int:
@@ -226,6 +228,73 @@ class TestStaircaseEnumeration:
             assert tuple(_hook_sum(A, k) for k in range(1, len(A) + 1)) == targets
 
 
+def lemma_gen_vectors(n: int) -> list[tuple[int, ...]]:
+    """The vectors of length n that the lemma-gen suite checks."""
+    return [a for a in product((-1, 0, 1, 2), repeat=n) if comb(n, 2) - sum(a) >= 0]
+
+
+def reference_bijection(n: int, a_vec: tuple[int, ...]) -> tuple[str, ...]:
+    """Reference for `verify_reduction_bijection`: the oracle on row tuples,
+    rebuilding each square matrix and hashing (cropped rows, t) per image."""
+    R = comb(n, 2) - sum(a_vec)
+    if R < 0:
+        return ()
+    head = tuple(-x for x in a_vec[: n - 2])
+    Y = list(flowcat.ctengine.staircase_matrices(n, head))
+    y_set = set(Y)
+
+    failures: list[str] = []
+    images: dict[tuple, str] = {}
+    for tag, anchor in (("X", a_vec[n - 2]), ("X'", a_vec[n - 1])):
+        for t_window in range(R + 1):
+            for C in Y:
+                last = -anchor - t_window + (n - 2) + sum(row[n - 2] for row in C)
+                if last < 0:
+                    continue
+                A = C + ((0,) * (n - 2) + (n - 2, last),)
+                t = -anchor - _hook_sum(A, n - 1)
+                B = A[: n - 2]
+                if tag == "X'":
+                    B = tuple(r[: n - 2] + (r[n - 1], r[n - 2]) for r in B)
+                    t = R - t
+                if B not in y_set:
+                    failures.append(f"{tag}: cropped matrix not in Y")
+                    continue
+                if not 0 <= t <= R:
+                    failures.append(f"{tag}: image index {t} out of range")
+                    continue
+                if (B, t) in images:
+                    failures.append(f"duplicate image at index {t}")
+                images[B, t] = tag
+
+    if len(images) != len(Y) * (R + 1):
+        failures.append(
+            f"image count {len(images)} != |Y| * (R+1) = {len(Y) * (R + 1)}"
+        )
+
+    for B in Y:
+        c = sum(row[n - 2] for row in B)
+        for t in range(R + 1):
+            in_x = c + (n - 2) - a_vec[n - 2] - t >= 0
+            in_xp = c + (n - 1) - a_vec[n - 2] - t <= 0
+            if in_x == in_xp:
+                failures.append(f"threshold dichotomy fails at t={t}")
+                continue
+            got = images.get((B, t))
+            if got is None:
+                failures.append(f"no preimage for index {t}")
+            elif (got == "X") != in_x:
+                failures.append(f"preimage side mismatch at t={t}")
+
+    return tuple(failures[:10])
+
+
+# every lemma-gen vector with n <= 4 and a seeded sample with n = 5
+DIFFERENTIAL_VECTORS = [(n, a) for n in (2, 3, 4) for a in lemma_gen_vectors(n)] + [
+    (5, a) for a in random.Random(5).sample(lemma_gen_vectors(5), 40)
+]
+
+
 class TestReductionIdentity:
     def test_sides_small(self):
         assert reduction_identity_sides(2, (0, 0)) == (2, 2)
@@ -256,17 +325,18 @@ class TestReductionIdentity:
         # every (head, h_{n-1}) that the lemma-gen vectors pin, each once
         targets = defaultdict(set)
         for n in range(2, 6):
-            for a_vec in product((-1, 0, 1, 2), repeat=n):
+            for a_vec in lemma_gen_vectors(n):
                 R = comb(n, 2) - sum(a_vec)
                 head = tuple(-x for x in a_vec[: n - 2])
                 for anchor in a_vec[n - 2:]:
                     targets[n, head].update(-anchor - t for t in range(R + 1))
         for (n, head), hooks in targets.items():
             Y = list(staircase_matrices(n, head))
+            diag = [n - 2 + sum(row[n - 2] for row in C) for C in Y]
             for h in hooks:
-                assert set(_square_rows(Y, n, h)) == set(
-                    staircase_matrices(n, head + (h,))
-                )
+                built = [Y[i] + ((0,) * (n - 2) + (n - 2, last),)
+                         for i, last in _square_rows(diag, h)]
+                assert sorted(built) == sorted(staircase_matrices(n, head + (h,)))
 
     def test_bijection_enumerates_y_once(self, monkeypatch):
         enumerate_rows = flowcat.ctengine.staircase_matrices
@@ -284,6 +354,47 @@ class TestReductionIdentity:
             calls.clear()
             assert verify_reduction_bijection(n, a_vec) == ()
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("edit", ["none", "drop first", "drop middle",
+                                      "duplicate middle"])
+    def test_bijection_matches_reference(self, monkeypatch, edit):
+        enumerate_rows = flowcat.ctengine.staircase_matrices
+
+        def edited(cols, targets):
+            Y = list(enumerate_rows(cols, targets))
+            k = len(Y) // 2
+            return {"none": Y, "drop first": Y[1:], "drop middle": Y[:k] + Y[k + 1:],
+                    "duplicate middle": Y[: k + 1] + Y[k:]}[edit]
+
+        monkeypatch.setattr(flowcat.ctengine, "staircase_matrices", edited)
+        failing = 0
+        for n, a_vec in DIFFERENTIAL_VECTORS:
+            expected = reference_bijection(n, a_vec)
+            assert verify_reduction_bijection(n, a_vec) == expected, (n, a_vec)
+            failing += bool(expected)
+        assert (failing == 0) == (edit == "none")
+
+    def test_lemma_gen_sweeps_once_per_head(self, monkeypatch):
+        sweep = flowcat.ctengine._flow_sweep
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(flowcat.ctengine, "_flow_sweep", counted)
+        _reduction_rhs_ct.cache_clear()
+        results = suite_reduction_identity()
+        assert len(results) == 2678 and all(r.ok for r in results)
+        # 1,339 left sides, and one right-hand CT per nonempty head
+        assert len(calls) == 1339 + 84
+        monkeypatch.undo()
+        for k in range(3):
+            for head in product((-1, 0, 1, 2), repeat=k):
+                fresh = constant_term(CTIntegrand(
+                    k, ((1, head),), one_minus_pole=(2,) * k, vandermonde_power=1,
+                )) if k else 1
+                assert _reduction_rhs_ct(head) == fresh
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 4), st.data())
