@@ -23,9 +23,10 @@ The matrix section enumerates those staircase matrices explicitly, as
 tuples of row tuples (a row sum is `sum(row)`, a hook sum `_hook_sum`).
 `staircase_matrices` builds the rows whose hook sums are pinned, and
 `verify_reduction_bijection` checks the drop-two-rows bijection behind
-`reduction_identity_sides` on them, on indices into the cropped family Y
-with each member's column sum computed once.  The identity's right-hand
-CT depends only on the head of the vector, so it is memoized per head.
+`reduction_identity_sides` on them, on indices into the cropped family Y.
+Y, and the identity's right-hand CT, depend only on the head of the
+vector, so both are memoized per head; the left-hand CT is memoized per
+head and unordered last pair.
 """
 
 from __future__ import annotations
@@ -192,10 +193,20 @@ def reduction_identity_sides(n: int, a_vec: Sequence[int]) -> tuple[int, int]:
     if R < 0:
         return 0, 0
 
-    head, pair = a_vec[: n - 2], a_vec[n - 2:]
+    head = a_vec[: n - 2]
+    lhs = _reduction_lhs_ct(head, tuple(sorted(a_vec[n - 2:])))
+    return lhs, (2**R) * _reduction_rhs_ct(head)
+
+
+@lru_cache(maxsize=128)
+def _reduction_lhs_ct(head: tuple[int, ...], pair: tuple[int, int]) -> int:
+    """The left-hand CT of `reduction_identity_sides` for a_vec = head + pair;
+    memoized with the pair sorted, since both of its orders give the same
+    integrand."""
+    n = len(head) + 2
     f = CTIntegrand(n, ((1, head + pair), (1, head + pair[::-1])),
                     vandermonde_power=1)
-    return _power_ct(f, (n - 1, n), R), (2**R) * _reduction_rhs_ct(head)
+    return _power_ct(f, (n - 1, n), comb(n, 2) - sum(head) - sum(pair))
 
 
 @lru_cache(maxsize=128)
@@ -256,12 +267,28 @@ def _square_rows(diag: Sequence[int], hook_target: int) -> Iterator[tuple[int, i
             yield i, hook_target + d
 
 
+@lru_cache(maxsize=128)
+def _cropped_family(
+    n: int, head: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int | None, ...]]:
+    """Per member of the cropped family Y = staircase_matrices(n, head): its
+    column n-1 sum down to the diagonal, and the Y index of its crop on each
+    side (X: the member itself; X': its column-swapped crop, None when that
+    is not in Y).  Memoized, since many vectors share a head."""
+    Y = list(staircase_matrices(n, head))
+    pos = {C: i for i, C in enumerate(Y)}
+    diag = tuple(n - 2 + sum(row[n - 2] for row in C) for C in Y)
+    own = tuple(pos[C] for C in Y)
+    swapped = tuple(pos.get(tuple(r[: n - 2] + (r[n - 1], r[n - 2]) for r in C)) for C in Y)
+    return diag, own, swapped
+
+
 def verify_reduction_bijection(n: int, a_vec: Sequence[int]) -> tuple[str, ...]:
     """Machine-check the bijection behind the CT reduction identity.
 
-    Enumerates the cropped family Y once and works on Y indices: per member
-    it keeps its column n-1 sum and the Y index of its crop on each side
-    (on the X' side after the column swap).  Rows 1..n-1 of the
+    Works on indices into the cropped family Y (`_cropped_family`, once per
+    head): per member its column n-1 sum and the Y index of its crop on
+    each side (on the X' side after the column swap).  Rows 1..n-1 of the
     square-matrix families X (hook sum h_{n-1} pinned through a_{n-1}) and
     X' (pinned through a_n) are each a Y member plus its row n-1
     (`_square_rows`).  Applies the drop-two-rows map (with column swap and
@@ -279,14 +306,7 @@ def verify_reduction_bijection(n: int, a_vec: Sequence[int]) -> tuple[str, ...]:
     R = comb(n, 2) - sum(a_vec)
     if R < 0:
         return ()
-    head = tuple(-x for x in a_vec[: n - 2])
-    Y = list(staircase_matrices(n, head))
-    pos = {C: i for i, C in enumerate(Y)}
-    # per member: column n-1 down to the diagonal, and the Y index of its
-    # crop on each side (None when the crop is not in Y)
-    diag = [n - 2 + sum(row[n - 2] for row in C) for C in Y]
-    own = [pos[C] for C in Y]
-    swapped = [pos.get(tuple(r[: n - 2] + (r[n - 1], r[n - 2]) for r in C)) for C in Y]
+    diag, own, swapped = _cropped_family(n, tuple(-x for x in a_vec[: n - 2]))
 
     failures: list[str] = []
     images: dict[int, str] = {}
@@ -307,9 +327,9 @@ def verify_reduction_bijection(n: int, a_vec: Sequence[int]) -> tuple[str, ...]:
                     failures.append(f"duplicate image at index {t}")
                 images[j * (R + 1) + t] = tag
 
-    if len(images) != len(Y) * (R + 1):
+    if len(images) != len(own) * (R + 1):
         failures.append(
-            f"image count {len(images)} != |Y| * (R+1) = {len(Y) * (R + 1)}"
+            f"image count {len(images)} != |Y| * (R+1) = {len(own) * (R + 1)}"
         )
 
     for j, d in zip(own, diag):

@@ -6,37 +6,15 @@ and the acceptance tests both drive these.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from math import comb
 from operator import index
 from typing import Callable, NamedTuple, Sequence
 
-from .closedform import (
-    catalan_polytope_volume,
-    cry_product,
-    morris_closed,
-    morris_polytope_volume,
-    tesler_family_volume,
-    tesler_unit_volume,
-)
-from .compositions import compositions_weight
-from .core import Multigraph, complete_graph, kostant, morris_graph, tesler_graph
-from .ctengine import (
-    CTIntegrand,
-    _hook_sum,
-    catalan_polytope_ct,
-    morris_ct,
-    reduction_identity_sides,
-    tesler_ct,
-    verify_reduction_bijection,
-)
-from .faces import (
-    MAX_N,
-    catalan_polytope_vertices,
-    vertex_count_formula,
-    vertex_tableaux,
-)
-from .lidskii import ehrhart_polynomial, lidskii_points, lidskii_volume, ps_volume
+# Engines are lazily registered by the package: a suite runs only the modules
+# it calls.
+from . import closedform, compositions, core, ctengine, faces, lidskii
 
 
 class CheckResult(NamedTuple):
@@ -55,11 +33,11 @@ def suite_catalan_volume(max_n: int = 5) -> list[CheckResult]:
     out = []
     for n in range(2, max_n + 1):
         netflow = (1, 1) + (0,) * (n - 2) + (-2,)
-        vol = lidskii_volume(complete_graph(n + 1), netflow)
+        vol = lidskii.lidskii_volume(core.complete_graph(n + 1), netflow)
         out.append(CheckResult(f"n={n} composition-sum vs CT", vol,
-                               catalan_polytope_ct(n)))
+                               ctengine.catalan_polytope_ct(n)))
         out.append(CheckResult(f"n={n} composition-sum vs closed form", vol,
-                               catalan_polytope_volume(n)))
+                               closedform.catalan_polytope_volume(n)))
         if n in frozen:
             out.append(CheckResult(f"n={n} frozen value", frozen[n], vol))
     return out
@@ -70,9 +48,9 @@ def suite_cry(max_n: int = 7) -> list[CheckResult]:
     frozen = {3: 1, 4: 2, 5: 10, 6: 140, 7: 5880}
     out = []
     for n in range(3, max_n + 1):
-        vol = ps_volume(complete_graph(n + 1))
+        vol = lidskii.ps_volume(core.complete_graph(n + 1))
         out.append(CheckResult(f"n={n} indegree route vs Catalan product",
-                               cry_product(n), vol))
+                               closedform.cry_product(n), vol))
         if n in frozen:
             out.append(CheckResult(f"n={n} frozen value", frozen[n], vol))
     return out
@@ -82,10 +60,10 @@ def suite_morris_polytopes(max_n: int = 4) -> list[CheckResult]:
     """Volume of the a,b,m family with netflow (1,0,...,0,-1)."""
     out = []
     for n, a, b, m in product(range(2, max_n + 1), (1, 2), (1, 2), (1, 2)):
-        vol = lidskii_volume(morris_graph(n + 1, a, b, m),
+        vol = lidskii.lidskii_volume(core.morris_graph(n + 1, a, b, m),
                              (1,) + (0,) * (n - 1) + (-1,))
         out.append(CheckResult(
-            f"n={n} a={a} b={b} m={m}", morris_polytope_volume(n, a, b, m), vol
+            f"n={n} a={a} b={b} m={m}", closedform.morris_polytope_volume(n, a, b, m), vol
         ))
     return out
 
@@ -94,15 +72,15 @@ def suite_tesler_polytopes(max_n: int = 3) -> list[CheckResult]:
     """Volume of the a,b family with netflow (1,...,1,-n)."""
     out = []
     for n, a, b in product(range(2, max_n + 1), (1, 2), (1, 2)):
-        vol = lidskii_volume(tesler_graph(n + 1, a, b), (1,) * n + (-n,))
-        closed = tesler_family_volume(n, a, b)
-        ct = tesler_ct(n, a, b)
+        vol = lidskii.lidskii_volume(core.tesler_graph(n + 1, a, b), (1,) * n + (-n,))
+        closed = closedform.tesler_family_volume(n, a, b)
+        ct = ctengine.tesler_ct(n, a, b)
         out.append(CheckResult(f"n={n} a={a} b={b} sum vs CT", vol, ct))
         out.append(CheckResult(f"n={n} a={a} b={b} sum vs closed form",
                                vol, closed))
         if a == 1 and b == 1:
             out.append(CheckResult(f"n={n} unit-case product formula",
-                                   tesler_unit_volume(n), vol))
+                                   closedform.tesler_unit_volume(n), vol))
     return out
 
 
@@ -112,8 +90,8 @@ def suite_morris_identity(max_n: int = 4) -> list[CheckResult]:
     for n, a, b, m in product(range(1, max_n + 1), (0, 1, 2), (1, 2, 3), (1, 2)):
         out.append(CheckResult(
             f"n={n} a={a} b={b} m={m}",
-            morris_closed(n, a, b, m),
-            morris_ct(n, a, b, m),
+            closedform.morris_closed(n, a, b, m),
+            ctengine.morris_ct(n, a, b, m),
         ))
     return out
 
@@ -130,9 +108,9 @@ def suite_reduction_identity(max_n: int = 5) -> list[CheckResult]:
         for a_vec in product((-1, 0, 1, 2), repeat=n):
             if comb(n, 2) - sum(a_vec) < 0:
                 continue
-            lhs, rhs = reduction_identity_sides(n, a_vec)
+            lhs, rhs = ctengine.reduction_identity_sides(n, a_vec)
             out.append(CheckResult(f"n={n} a={a_vec} sides", lhs, rhs))
-            failures = verify_reduction_bijection(n, a_vec)
+            failures = ctengine.verify_reduction_bijection(n, a_vec)
             out.append(CheckResult(f"n={n} a={a_vec} bijection", True, not failures))
     return out
 
@@ -174,7 +152,7 @@ def _box_product(
 
 
 def _series_histogram(
-    f: CTIntegrand, box: int, bound: int
+    f: ctengine.CTIntegrand, box: int, bound: int
 ) -> dict[tuple[int, ...], int]:
     """Coefficients of the integrand f on the box sum|e_i| <= box, by
     truncated Laurent-series multiplication; the constant term is the zero
@@ -188,7 +166,7 @@ def _series_histogram(
     """
     n = f.n_vars
     factors = [
-        {tuple(r * (v == i) for v in range(n)): compositions_weight(r, b)
+        {tuple(r * (v == i) for v in range(n)): compositions.compositions_weight(r, b)
          for r in range(bound + 1)}
         for i, b in enumerate(f.one_minus_pole) if b > 0
     ]
@@ -225,7 +203,7 @@ def _matrix_histogram(
                 grid[i][i] = i
             for (i, j), v in zip(free, vals):
                 grid[i][j] = v
-            key = tuple(_hook_sum(grid, k) for k in range(1, n + 1))
+            key = tuple(ctengine._hook_sum(grid, k) for k in range(1, n + 1))
             single[key] = single.get(key, 0) + 1
         factors += [single] * m
 
@@ -254,16 +232,16 @@ def suite_series_expansion(max_n: int = 3) -> list[CheckResult]:
     # definition (and its own summands 2+3-1-2) give 2
     for label, expected, actual in (
         ("worked matrix r_2", 6, sum(A[1])),
-        ("worked matrix h_2", 2, _hook_sum(A, 2)),
+        ("worked matrix h_2", 2, ctengine._hook_sum(A, 2)),
         ("worked matrix r_3", 9, sum(A[2])),
-        ("worked matrix h_3", 0, _hook_sum(A, 3)),
+        ("worked matrix h_3", 0, ctengine._hook_sum(A, 3)),
     ):
         out.append(CheckResult(label, expected, actual))
 
     box = 5
     for n in range(1, max_n + 1):
         for b, m in product((0, 1, 2), repeat=2):
-            f = CTIntegrand(n, ((1, (0,) * n),), one_minus_pole=(b,) * n,
+            f = ctengine.CTIntegrand(n, ((1, (0,) * n),), one_minus_pole=(b,) * n,
                             vandermonde_power=m)
             series = _series_histogram(f, box, bound=12)
             series_hi = _series_histogram(f, box, bound=14)
@@ -280,45 +258,63 @@ def suite_series_expansion(max_n: int = 3) -> list[CheckResult]:
 # --- vertex counts ----------------------------------------------------------
 
 
-def vertices_by_acyclic_support(a: Sequence[int]) -> int:
-    """Vertices of F_{K_{n+1}}(a') counted independently of tableaux: flows
-    whose support is a forest, found by solving the unique flow on every
-    acyclic edge subset and keeping the strictly positive ones.  Peeling an
-    edge at a degree-1 vertex forces its flow; the peeling stalls with edges
-    left exactly when the subset has a cycle."""
-    a = tuple(map(index, a))
-    n1 = len(a) + 1
-    netflow = a + (-sum(a),)
-    edges = [(i, j) for i in range(1, n1 + 1) for j in range(i + 1, n1 + 1)]
-    count = 0
+@lru_cache(maxsize=8)
+def _forest_peelings(n1: int) -> tuple[tuple[tuple[int, int, bool], ...], ...]:
+    """The leaf peeling of every forest on vertices 1..n1, as its steps
+    (leaf, other end, leaf is the tail), both ends 0-based.  A subset of the
+    edges (i, j), i < j, is peeled by removing, in edge order and pass after
+    pass, each edge with a degree-1 end (its tail if both); it is a forest
+    exactly when no edge is left.  The order depends only on the edges."""
+    edges = [(i, j) for i in range(n1) for j in range(i + 1, n1)]
+    out = []
     for mask in range(1 << len(edges)):
-        if mask.bit_count() >= n1:  # a forest on n+1 vertices has at most n edges
+        if mask.bit_count() >= n1:  # a forest on n1 vertices has fewer than n1 edges
             continue
         live = [e for k, e in enumerate(edges) if mask >> k & 1]
-        residual = list(netflow)
-        degree = [0] * (n1 + 1)
+        degree = [0] * n1
         for i, j in live:
             degree[i] += 1
             degree[j] += 1
+        steps = []
         peeling = True
         while live and peeling:
             peeling = False
             for e in list(live):
                 i, j = e
                 if degree[i] == 1 or degree[j] == 1:
-                    # the leaf's whole netflow crosses its one edge, from i to j
-                    flow = residual[i - 1] if degree[i] == 1 else -residual[j - 1]
-                    if flow <= 0:  # stop with e left: not a vertex
-                        peeling = False
-                        break
-                    residual[i - 1] -= flow
-                    residual[j - 1] += flow
+                    steps.append((i, j, True) if degree[i] == 1 else (j, i, False))
                     degree[i] -= 1
                     degree[j] -= 1
                     live.remove(e)
                     peeling = True
-        if not live and not any(residual):
-            count += 1
+        if not live:
+            out.append(tuple(steps))
+    return tuple(out)
+
+
+def vertices_by_acyclic_support(a: Sequence[int]) -> int:
+    """Vertices of F_{K_{n+1}}(a') counted independently of tableaux: flows
+    whose support is a forest, found by solving the unique flow on every
+    acyclic edge subset and keeping the strictly positive ones.  Each
+    forest's leaf peeling (`_forest_peelings`) is replayed on the netflow:
+    the leaf's whole residual crosses its one edge, and the replay stops at
+    a flow <= 0.  The forest counts when every residual ends at 0.  There
+    are 2^(n(n+1)/2) edge subsets, so n > 6 is rejected before any work."""
+    a = tuple(map(index, a))
+    if len(a) > 6:
+        raise ValueError("acyclic supports are enumerated for n <= 6 only")
+    netflow = a + (-sum(a),)
+    count = 0
+    for steps in _forest_peelings(len(netflow)):
+        residual = list(netflow)
+        for leaf, other, tail in steps:
+            flow = residual[leaf] if tail else -residual[leaf]
+            if flow <= 0:  # not a vertex
+                break
+            residual[other] += residual[leaf]
+            residual[leaf] = 0
+        else:
+            count += not any(residual)
     return count
 
 
@@ -327,22 +323,23 @@ def suite_faces(max_rs: int = 4) -> list[CheckResult]:
     2 * 3^{n-2} corollary for n = 2..6, and the acyclic-support
     enumeration.  The r, s checks have n = r+s+2, so max_rs outside
     0..MAX_N - 2 is rejected before any work."""
-    if not 0 <= max_rs <= MAX_N - 2:
-        raise ValueError(f"faces are computed for n <= {MAX_N}, so 0 <= max_rs <= {MAX_N - 2}")
+    if not 0 <= max_rs <= faces.MAX_N - 2:
+        raise ValueError(f"faces are computed for n <= {faces.MAX_N}, "
+                         f"so 0 <= max_rs <= {faces.MAX_N - 2}")
     out = []
     for r in range(max_rs + 1):
         for s in range(max_rs - r + 1):
             a = (1,) + (0,) * r + (1,) + (0,) * s
-            got = len(vertex_tableaux(a))
+            got = len(faces.vertex_tableaux(a))
             out.append(CheckResult(
                 f"r={r} s={s} tableaux vs formula",
-                vertex_count_formula(r, s), got
+                faces.vertex_count_formula(r, s), got
             ))
     for n in range(2, 7):
         a = (1, 1) + (0,) * (n - 2)
         out.append(CheckResult(
             f"n={n} two-ones corollary",
-            catalan_polytope_vertices(n), len(vertex_tableaux(a))
+            faces.catalan_polytope_vertices(n), len(faces.vertex_tableaux(a))
         ))
     for n in range(1, 5):  # n+1 <= 5
         for a in product((0, 1, 2), repeat=n):
@@ -350,28 +347,30 @@ def suite_faces(max_rs: int = 4) -> list[CheckResult]:
                 continue
             out.append(CheckResult(
                 f"a={a} tableaux vs acyclic supports",
-                vertices_by_acyclic_support(a), len(vertex_tableaux(a))
+                vertices_by_acyclic_support(a), len(faces.vertex_tableaux(a))
             ))
     return out
 
 
-def _volume_sweep_pairs(limit: int = 5) -> list[tuple[str, Multigraph, tuple[int, ...]]]:
+def _volume_sweep_pairs(
+    limit: int = 5,
+) -> list[tuple[str, core.Multigraph, tuple[int, ...]]]:
     pairs = []
     for n in range(2, limit):
         pairs.append((f"complete({n + 1}) two-ones",
-                      complete_graph(n + 1), (1, 1) + (0,) * (n - 2) + (-2,)))
+                      core.complete_graph(n + 1), (1, 1) + (0,) * (n - 2) + (-2,)))
     for n in range(3, limit):
         pairs.append((f"complete({n + 1}) cry",
-                      complete_graph(n + 1), (1,) + (0,) * (n - 1) + (-1,)))
+                      core.complete_graph(n + 1), (1,) + (0,) * (n - 1) + (-1,)))
     for n, a, b, m in product((2, 3, 4), (1, 2), (1, 2), (1, 2)):
         if n + 1 <= limit:
             pairs.append((f"morris({n + 1},{a},{b},{m})",
-                          morris_graph(n + 1, a, b, m),
+                          core.morris_graph(n + 1, a, b, m),
                           (1,) + (0,) * (n - 1) + (-1,)))
     for n, a, b in product((2, 3), (1, 2), (1, 2)):
         if n + 1 <= limit:
             pairs.append((f"tesler({n + 1},{a},{b})",
-                          tesler_graph(n + 1, a, b), (1,) * n + (-n,)))
+                          core.tesler_graph(n + 1, a, b), (1,) * n + (-n,)))
     return pairs
 
 
@@ -381,11 +380,11 @@ def suite_lidskii_vs_ehrhart(limit: int = 5) -> list[CheckResult]:
     vertices."""
     out = []
     for label, G, netflow in _volume_sweep_pairs(limit):
-        vol = lidskii_volume(G, netflow)
-        ehr = ehrhart_polynomial(G, netflow).normalized_volume
+        vol = lidskii.lidskii_volume(G, netflow)
+        ehr = lidskii.ehrhart_polynomial(G, netflow).normalized_volume
         out.append(CheckResult(f"{label} volume", vol, ehr))
         out.append(CheckResult(
-            f"{label} points", kostant(G, netflow), lidskii_points(G, netflow)
+            f"{label} points", core.kostant(G, netflow), lidskii.lidskii_points(G, netflow)
         ))
     return out
 

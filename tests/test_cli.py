@@ -313,7 +313,7 @@ class TestVerify:
         def work(*args):
             raise AssertionError("the suite started before checking --max-n")
 
-        monkeypatch.setattr("flowcat.verify.reduction_identity_sides", work)
+        monkeypatch.setattr("flowcat.ctengine.reduction_identity_sides", work)
         code, _, err = run(capsys, "verify", "--suite", "lemma-gen", "--max-n", "6")
         assert code == 1
         assert "max_n <= 5" in err
@@ -346,7 +346,7 @@ class TestVerify:
         def work(*args):
             raise AssertionError("the suite started before checking --max-n")
 
-        monkeypatch.setattr("flowcat.verify.vertex_tableaux", work)
+        monkeypatch.setattr("flowcat.faces.vertex_tableaux", work)
         code, _, err = run(capsys, "verify", "--suite", "faces",
                            "--max-n", str(MAX_N - 1))
         assert code == 1
@@ -358,7 +358,7 @@ class TestVerify:
         def work(*args):
             raise AssertionError("the suite started before checking --max-n")
 
-        monkeypatch.setattr("flowcat.verify.vertex_tableaux", work)
+        monkeypatch.setattr("flowcat.faces.vertex_tableaux", work)
         code, out, err = run(capsys, "verify", "--suite", "faces", "--max-n", "-1")
         assert code == 1
         assert out == ""

@@ -13,8 +13,10 @@ from flowcat.closedform import tesler_unit_volume
 from flowcat.compositions import weak_compositions
 from flowcat.ctengine import (
     CTIntegrand,
+    _cropped_family,
     _hook_sum,
     _power_ct,
+    _reduction_lhs_ct,
     _reduction_rhs_ct,
     _square_rows,
     catalan_polytope_ct,
@@ -295,6 +297,25 @@ DIFFERENTIAL_VECTORS = [(n, a) for n in (2, 3, 4) for a in lemma_gen_vectors(n)]
 ]
 
 
+@pytest.fixture
+def patch_ctengine(monkeypatch):
+    """Sets an attribute of flowcat.ctengine for one test, clearing the
+    oracle's per-head memos after the patch and after its undo, so no
+    value cached from the real Y or sweep is served to the patched code or
+    back to later tests."""
+    def clear():
+        for memo in (_cropped_family, _reduction_lhs_ct, _reduction_rhs_ct):
+            memo.cache_clear()
+
+    def patch(name, value):
+        monkeypatch.setattr(flowcat.ctengine, name, value)
+        clear()
+
+    yield patch
+    monkeypatch.undo()
+    clear()
+
+
 class TestReductionIdentity:
     def test_sides_small(self):
         assert reduction_identity_sides(2, (0, 0)) == (2, 2)
@@ -309,7 +330,7 @@ class TestReductionIdentity:
     def test_bijection_reports(self):
         assert verify_reduction_bijection(3, (1, 0, 1)) == ()
 
-    def test_bijection_check_can_fail(self, monkeypatch):
+    def test_bijection_check_can_fail(self, patch_ctengine):
         # (1, 0, 1) would not do: h_1 = -1 leaves X, X' and Y empty
         a_vec = (-1, 0, 1)
         assert verify_reduction_bijection(3, a_vec) == ()
@@ -318,7 +339,7 @@ class TestReductionIdentity:
         def drop_first(cols, targets):
             return list(enumerate_rows(cols, targets))[1:]
 
-        monkeypatch.setattr(flowcat.ctengine, "staircase_matrices", drop_first)
+        patch_ctengine("staircase_matrices", drop_first)
         assert verify_reduction_bijection(3, a_vec)
 
     def test_square_rows_are_y_plus_one_row(self):
@@ -338,26 +359,9 @@ class TestReductionIdentity:
                          for i, last in _square_rows(diag, h)]
                 assert sorted(built) == sorted(staircase_matrices(n, head + (h,)))
 
-    def test_bijection_enumerates_y_once(self, monkeypatch):
-        enumerate_rows = flowcat.ctengine.staircase_matrices
-        calls = []
-
-        def counted(cols, targets):
-            calls.append(targets)
-            return enumerate_rows(cols, targets)
-
-        monkeypatch.setattr(flowcat.ctengine, "staircase_matrices", counted)
-        # each with R > 0 and a nonempty Y
-        for n, a_vec in ((2, (0, 0)), (3, (-1, 0, 1)), (4, (-1, 0, 0, 2)),
-                         (5, (0, -1, 0, 1, 2))):
-            assert comb(n, 2) - sum(a_vec) > 0
-            calls.clear()
-            assert verify_reduction_bijection(n, a_vec) == ()
-            assert len(calls) == 1
-
     @pytest.mark.parametrize("edit", ["none", "drop first", "drop middle",
                                       "duplicate middle"])
-    def test_bijection_matches_reference(self, monkeypatch, edit):
+    def test_bijection_matches_reference(self, patch_ctengine, edit):
         enumerate_rows = flowcat.ctengine.staircase_matrices
 
         def edited(cols, targets):
@@ -366,7 +370,7 @@ class TestReductionIdentity:
             return {"none": Y, "drop first": Y[1:], "drop middle": Y[:k] + Y[k + 1:],
                     "duplicate middle": Y[: k + 1] + Y[k:]}[edit]
 
-        monkeypatch.setattr(flowcat.ctengine, "staircase_matrices", edited)
+        patch_ctengine("staircase_matrices", edited)
         failing = 0
         for n, a_vec in DIFFERENTIAL_VECTORS:
             expected = reference_bijection(n, a_vec)
@@ -374,21 +378,36 @@ class TestReductionIdentity:
             failing += bool(expected)
         assert (failing == 0) == (edit == "none")
 
-    def test_lemma_gen_sweeps_once_per_head(self, monkeypatch):
-        sweep = flowcat.ctengine._flow_sweep
-        calls = []
+    def test_lemma_gen_enumerates_y_and_sweeps_once_per_integrand(self, patch_ctengine):
+        counts = {"staircase_matrices": 0, "_flow_sweep": 0}
 
-        def counted(*args):
-            calls.append(args)
-            return sweep(*args)
+        def counted(name):
+            fn = getattr(flowcat.ctengine, name)
 
-        monkeypatch.setattr(flowcat.ctengine, "_flow_sweep", counted)
-        _reduction_rhs_ct.cache_clear()
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in counts:
+            patch_ctengine(name, counted(name))
         results = suite_reduction_identity()
         assert len(results) == 2678 and all(r.ok for r in results)
-        # 1,339 left sides, and one right-hand CT per nonempty head
-        assert len(calls) == 1339 + 84
-        monkeypatch.undo()
+        # Y once for each of the 85 (n, head) pairs; 835 distinct left-hand
+        # integrands among the 1,339 vectors, and one right-hand CT per
+        # nonempty head
+        assert counts == {"staircase_matrices": 85, "_flow_sweep": 835 + 84}
+
+    def test_memos_match_fresh_constant_terms(self):
+        for n in range(2, 5):
+            for a_vec in lemma_gen_vectors(n):
+                head, pair = a_vec[: n - 2], a_vec[n - 2:]
+                R = comb(n, 2) - sum(a_vec)
+                for order in (pair, pair[::-1]):
+                    f = CTIntegrand(n, ((1, head + order), (1, head + order[::-1])),
+                                    vandermonde_power=1)
+                    assert _reduction_lhs_ct(head, tuple(sorted(order))) == (
+                        _power_ct(f, (n - 1, n), R))
         for k in range(3):
             for head in product((-1, 0, 1, 2), repeat=k):
                 fresh = constant_term(CTIntegrand(

@@ -1,11 +1,14 @@
+import random
 from collections import Counter
 from itertools import product
 from math import comb
+from operator import index
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowcat.verify
 from flowcat.faces import (
     MAX_N,
     catalan_polytope_vertices,
@@ -205,6 +208,50 @@ class TestForests:
             assert leaves(tableau_to_forest(rows)) <= support
 
 
+def reference_acyclic_support_count(a):
+    """Reference for `vertices_by_acyclic_support`: the oracle that peels
+    every candidate edge subset afresh for each netflow."""
+    a = tuple(map(index, a))
+    n1 = len(a) + 1
+    netflow = a + (-sum(a),)
+    edges = [(i, j) for i in range(1, n1 + 1) for j in range(i + 1, n1 + 1)]
+    count = 0
+    for mask in range(1 << len(edges)):
+        if mask.bit_count() >= n1:  # a forest on n+1 vertices has at most n edges
+            continue
+        live = [e for k, e in enumerate(edges) if mask >> k & 1]
+        residual = list(netflow)
+        degree = [0] * (n1 + 1)
+        for i, j in live:
+            degree[i] += 1
+            degree[j] += 1
+        peeling = True
+        while live and peeling:
+            peeling = False
+            for e in list(live):
+                i, j = e
+                if degree[i] == 1 or degree[j] == 1:
+                    # the leaf's whole netflow crosses its one edge, from i to j
+                    flow = residual[i - 1] if degree[i] == 1 else -residual[j - 1]
+                    if flow <= 0:  # stop with e left: not a vertex
+                        peeling = False
+                        break
+                    residual[i - 1] -= flow
+                    residual[j - 1] += flow
+                    degree[i] -= 1
+                    degree[j] -= 1
+                    live.remove(e)
+                    peeling = True
+        if not live and not any(residual):
+            count += 1
+    return count
+
+
+# every prefix in {0,1,2}^n with n <= 4, and a seeded sample with n = 5
+ACYCLIC_PREFIXES = [a for n in range(5) for a in product((0, 1, 2), repeat=n)] + (
+    random.Random(5).sample(list(product((0, 1, 2), repeat=5)), 20))
+
+
 class TestVertexCounts:
     def test_formula_values(self):
         assert vertex_count_formula(0, 0) == 2
@@ -221,6 +268,18 @@ class TestVertexCounts:
     @given(st.lists(st.integers(0, 2), min_size=5, max_size=5))
     def test_acyclic_supports_at_n_5(self, a):
         assert vertices_by_acyclic_support(a) == len(vertex_tableaux(a))
+
+    def test_acyclic_supports_match_the_reference(self):
+        for a in ACYCLIC_PREFIXES:
+            assert vertices_by_acyclic_support(a) == reference_acyclic_support_count(a), a
+
+    def test_acyclic_supports_reject_n_above_6_before_any_work(self, monkeypatch):
+        def work(n1):
+            raise AssertionError("the enumeration started before checking n")
+
+        monkeypatch.setattr(flowcat.verify, "_forest_peelings", work)
+        with pytest.raises(ValueError, match="n <= 6"):
+            vertices_by_acyclic_support((1,) * 7)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -67,6 +67,21 @@ def ct_file(tmp_path):
 
 CATALAN_5 = ("--graph", "complete:5", "--netflow", "1,1,0,0,-2")
 
+# (suite, --max-n small enough to be quick, the engine modules it runs)
+LIDSKII_ROUTE = {"compositions", "core", "lidskii"}
+CT_ROUTE = {"compositions", "core", "ctengine"}
+VERIFY_ROUTES = [
+    ("thm1", 2, LIDSKII_ROUTE | {"ctengine", "closedform"}),
+    ("cry", 3, LIDSKII_ROUTE | {"closedform"}),
+    ("thm2", 2, LIDSKII_ROUTE | {"closedform"}),
+    ("thm3", 2, LIDSKII_ROUTE | {"ctengine", "closedform"}),
+    ("morris", 1, CT_ROUTE | {"closedform"}),
+    ("lemma-gen", 2, CT_ROUTE),
+    ("lemma-expand", 1, CT_ROUTE),
+    ("faces", 0, {"faces"}),
+    ("lidskii-vs-ehrhart", 3, LIDSKII_ROUTE),
+]
+
 
 class TestImportSurface:
     @pytest.mark.parametrize("argv, executed", [
@@ -95,10 +110,15 @@ class TestImportSurface:
         assert set(result["executed"]) == GRAPH_ROUTE | {"ctengine"}
         assert not set(result["new"]) & {"dataclasses", "inspect", "fractions"}
 
-    def test_verify_runs_every_module_without_dataclasses(self):
-        result = probe("verify", "--suite", "cry")
-        assert set(result["executed"]) == {"cli", "verify", *flowcat._EXPORTS.values()}
-        assert not set(result["new"]) & {"dataclasses", "inspect"}
+    @pytest.mark.parametrize("suite, max_n, engines", VERIFY_ROUTES,
+                             ids=[suite for suite, _, _ in VERIFY_ROUTES])
+    def test_a_verify_suite_runs_only_its_engines(self, suite, max_n, engines):
+        result = probe("verify", "--suite", suite, "--max-n", str(max_n))
+        assert result["code"] == 0
+        assert set(result["executed"]) == {"cli", "verify"} | engines
+        new = set(result["new"])
+        assert not new & {"dataclasses", "inspect"}
+        assert ("fractions" in new) == (suite in {"thm1", "cry", "thm2", "thm3", "morris"})
 
     def test_importing_the_package_runs_no_engine(self):
         result = probe()
