@@ -61,7 +61,7 @@ def suite_morris_polytopes(max_n: int = 4) -> list[CheckResult]:
     out = []
     for n, a, b, m in product(range(2, max_n + 1), (1, 2), (1, 2), (1, 2)):
         vol = lidskii.lidskii_volume(core.morris_graph(n + 1, a, b, m),
-                             (1,) + (0,) * (n - 1) + (-1,))
+                                     (1,) + (0,) * (n - 1) + (-1,))
         out.append(CheckResult(
             f"n={n} a={a} b={b} m={m}", closedform.morris_polytope_volume(n, a, b, m), vol
         ))
@@ -242,7 +242,7 @@ def suite_series_expansion(max_n: int = 3) -> list[CheckResult]:
     for n in range(1, max_n + 1):
         for b, m in product((0, 1, 2), repeat=2):
             f = ctengine.CTIntegrand(n, ((1, (0,) * n),), one_minus_pole=(b,) * n,
-                            vandermonde_power=m)
+                                     vandermonde_power=m)
             series = _series_histogram(f, box, bound=12)
             series_hi = _series_histogram(f, box, bound=14)
             matrices = _matrix_histogram(n, b, m, box, bound=12)
