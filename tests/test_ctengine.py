@@ -359,6 +359,28 @@ class TestReductionIdentity:
                          for i, last in _square_rows(diag, h)]
                 assert sorted(built) == sorted(staircase_matrices(n, head + (h,)))
 
+    def test_bijection_enumerates_y_once(self, patch_ctengine):
+        enumerate_rows = flowcat.ctengine.staircase_matrices
+        calls = []
+
+        def counted(cols, targets):
+            calls.append(targets)
+            return enumerate_rows(cols, targets)
+
+        patch_ctengine("staircase_matrices", counted)
+        # each with R > 0 and a nonempty Y
+        for n, a_vec in ((2, (0, 0)), (3, (-1, 0, 1)), (4, (-1, 0, 0, 2)),
+                         (5, (0, -1, 0, 1, 2))):
+            assert comb(n, 2) - sum(a_vec) > 0
+            _cropped_family.cache_clear()
+            calls.clear()
+            assert verify_reduction_bijection(n, a_vec) == ()
+            assert len(calls) == 1
+            # a second vector with the same head reuses the memoized Y
+            swapped = a_vec[: n - 2] + (a_vec[-1], a_vec[-2])
+            assert verify_reduction_bijection(n, swapped) == ()
+            assert len(calls) == 1
+
     @pytest.mark.parametrize("edit", ["none", "drop first", "drop middle",
                                       "duplicate middle"])
     def test_bijection_matches_reference(self, patch_ctengine, edit):
@@ -378,7 +400,7 @@ class TestReductionIdentity:
             failing += bool(expected)
         assert (failing == 0) == (edit == "none")
 
-    def test_lemma_gen_enumerates_y_and_sweeps_once_per_integrand(self, patch_ctengine):
+    def test_lemma_gen_sweeps_once_per_head(self, patch_ctengine):
         counts = {"staircase_matrices": 0, "_flow_sweep": 0}
 
         def counted(name):
