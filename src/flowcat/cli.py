@@ -301,10 +301,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "method", "skip") is None:
             args.method = ["lidskii"]
         return args.fn(args, sys.stdout)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (CLIError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

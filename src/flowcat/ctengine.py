@@ -23,10 +23,11 @@ The matrix section enumerates those staircase matrices explicitly, as
 tuples of row tuples (a row sum is `sum(row)`, a hook sum `_hook_sum`).
 `staircase_matrices` builds the rows whose hook sums are pinned, and
 `verify_reduction_bijection` checks the drop-two-rows bijection behind
-`reduction_identity_sides` on them, on indices into the cropped family Y.
-Y, and the identity's right-hand CT, depend only on the head of the
-vector, so both are memoized per head; the left-hand CT is memoized per
-head and unordered last pair.
+`reduction_identity_sides` on them, on indices into the cropped family Y:
+each square matrix of either side is a Y member plus one row, so each side
+is one pass over Y per image index.  Y, and the identity's right-hand CT,
+depend only on the head of the vector, so both are memoized per head; the
+left-hand CT is memoized per head and unordered last pair.
 """
 
 from __future__ import annotations
@@ -257,24 +258,15 @@ def staircase_matrices(
     return rec(())
 
 
-def _square_rows(diag: Sequence[int], hook_target: int) -> Iterator[tuple[int, int]]:
-    """Rows 1..n-1 of staircase_matrices(n, head + (hook_target,)): each
-    member i of Y = staircase_matrices(n, head) plus its row n-1, which has
-    one free entry, fixed by h_{n-1}.  diag[i] is member i's column n-1 sum
-    down to the diagonal; yields (i, free entry) where that entry is >= 0."""
-    for i, d in enumerate(diag):
-        if hook_target + d >= 0:
-            yield i, hook_target + d
-
-
 @lru_cache(maxsize=128)
 def _cropped_family(
-    n: int, head: tuple[int, ...]
+    head: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int | None, ...]]:
-    """Per member of the cropped family Y = staircase_matrices(n, head): its
-    column n-1 sum down to the diagonal, and the Y index of its crop on each
-    side (X: the member itself; X': its column-swapped crop, None when that
-    is not in Y).  Memoized, since many vectors share a head."""
+    """Per member of the cropped family Y = staircase_matrices(n, head),
+    n = len(head) + 2: its column n-1 sum down to the diagonal, and the Y
+    index of its crop on each side (X: the member; X': its column-swapped
+    crop, None if not in Y).  Memoized, since many vectors share a head."""
+    n = len(head) + 2
     Y = list(staircase_matrices(n, head))
     pos = {C: i for i, C in enumerate(Y)}
     diag = tuple(n - 2 + sum(row[n - 2] for row in C) for C in Y)
@@ -287,16 +279,19 @@ def verify_reduction_bijection(n: int, a_vec: Sequence[int]) -> tuple[str, ...]:
     """Machine-check the bijection behind the CT reduction identity.
 
     Works on indices into the cropped family Y (`_cropped_family`, once per
-    head): per member its column n-1 sum and the Y index of its crop on
-    each side (on the X' side after the column swap).  Rows 1..n-1 of the
-    square-matrix families X (hook sum h_{n-1} pinned through a_{n-1}) and
-    X' (pinned through a_n) are each a Y member plus its row n-1
-    (`_square_rows`).  Applies the drop-two-rows map (with column swap and
-    index complement on the X' side) and verifies it is a bijection onto
-    Y x {0..C(n,2)-a}, with the side selected by exactly one of the two
-    threshold inequalities; an image (member j, index t) is keyed by the
-    int j(R+1) + t.  Returns the first 10 failures, so the bijection holds
-    when the result is empty.
+    head).  For each window t in 0..R, R = C(n,2) - a, the square-matrix
+    family X (X') is member i of Y plus a row n-1 whose one free entry,
+    d_i - a_{n-1} - t (d_i - a_n - t), is >= 0, where d_i is member i's
+    column n-1 sum.  The drop-two-rows map sends it to (its crop, t) on X
+    and (its column-swapped crop, R - t) on X'; the check is that these
+    images, keyed by the int j(R+1) + t, cover Y x {0..R} once each, on the
+    side that d_i - a_{n-1} - t >= 0 selects.  Returns the first 10
+    failures, so the bijection holds when the result is empty.
+
+    Checks left out, as they cannot fail: h_{n-1} of the square rows is the
+    free entry minus d_i, so the image index is always t on X and R - t on
+    X', both in 0..R; the X crop is the member itself (`own`), never None;
+    and the X' threshold d_i + 1 - a_{n-1} - t <= 0 negates the X one.
     """
     a_vec = tuple(map(index, a_vec))
     if len(a_vec) != n:
@@ -306,22 +301,19 @@ def verify_reduction_bijection(n: int, a_vec: Sequence[int]) -> tuple[str, ...]:
     R = comb(n, 2) - sum(a_vec)
     if R < 0:
         return ()
-    diag, own, swapped = _cropped_family(n, tuple(-x for x in a_vec[: n - 2]))
+    diag, own, swapped = _cropped_family(tuple(-x for x in a_vec[: n - 2]))
 
     failures: list[str] = []
     images: dict[int, str] = {}
     for tag, anchor, crop in (("X", a_vec[n - 2], own), ("X'", a_vec[n - 1], swapped)):
         for t_window in range(R + 1):
-            for i, last in _square_rows(diag, -anchor - t_window):
-                t = -anchor - (last - diag[i])  # h_{n-1} of the square rows
-                if tag == "X'":
-                    t = R - t
+            t = t_window if tag == "X" else R - t_window
+            for i, d in enumerate(diag):
+                if d - anchor - t_window < 0:
+                    continue
                 j = crop[i]
                 if j is None:
                     failures.append(f"{tag}: cropped matrix not in Y")
-                    continue
-                if not 0 <= t <= R:
-                    failures.append(f"{tag}: image index {t} out of range")
                     continue
                 if j * (R + 1) + t in images:
                     failures.append(f"duplicate image at index {t}")
@@ -334,15 +326,10 @@ def verify_reduction_bijection(n: int, a_vec: Sequence[int]) -> tuple[str, ...]:
 
     for j, d in zip(own, diag):
         for t in range(R + 1):
-            in_x = d - a_vec[n - 2] - t >= 0
-            in_xp = d + 1 - a_vec[n - 2] - t <= 0
-            if in_x == in_xp:
-                failures.append(f"threshold dichotomy fails at t={t}")
-                continue
             got = images.get(j * (R + 1) + t)
             if got is None:
                 failures.append(f"no preimage for index {t}")
-            elif (got == "X") != in_x:
+            elif (got == "X") != (d - a_vec[n - 2] - t >= 0):
                 failures.append(f"preimage side mismatch at t={t}")
 
     return tuple(failures[:10])

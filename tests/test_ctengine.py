@@ -18,7 +18,6 @@ from flowcat.ctengine import (
     _power_ct,
     _reduction_lhs_ct,
     _reduction_rhs_ct,
-    _square_rows,
     catalan_polytope_ct,
     constant_term,
     morris_ct,
@@ -331,16 +330,43 @@ class TestReductionIdentity:
         assert verify_reduction_bijection(3, (1, 0, 1)) == ()
 
     def test_bijection_check_can_fail(self, patch_ctengine):
-        # (1, 0, 1) would not do: h_1 = -1 leaves X, X' and Y empty
-        a_vec = (-1, 0, 1)
-        assert verify_reduction_bijection(3, a_vec) == ()
+        """Every failure message the oracle has, each under a named edit of Y
+        or of its crops that makes it fire on some lemma-gen vector."""
         enumerate_rows = flowcat.ctengine.staircase_matrices
 
-        def drop_first(cols, targets):
-            return list(enumerate_rows(cols, targets))[1:]
+        def edit_y(cut):
+            def edited(cols, targets):
+                Y = list(enumerate_rows(cols, targets))
+                return cut(Y, len(Y) // 2)
+            return edited
 
-        patch_ctengine("staircase_matrices", drop_first)
-        assert verify_reduction_bijection(3, a_vec)
+        def no_column_swap(head):
+            diag, own, _ = _cropped_family(head)
+            return diag, own, own
+
+        # edit: (patched name, replacement, messages that must fire)
+        table = {
+            "drop first": ("staircase_matrices", edit_y(lambda Y, k: Y[1:]),
+                           ("X': cropped matrix not in Y", "no preimage")),
+            "drop middle": ("staircase_matrices", edit_y(lambda Y, k: Y[:k] + Y[k + 1:]),
+                            ("X': cropped matrix not in Y",)),
+            "drop last": ("staircase_matrices", edit_y(lambda Y, k: Y[:-1]),
+                          ("X': cropped matrix not in Y",)),
+            "duplicate middle": ("staircase_matrices",
+                                 edit_y(lambda Y, k: Y[: k + 1] + Y[k:]),
+                                 ("duplicate image", "image count")),
+            "no column swap": ("_cropped_family", no_column_swap,
+                               ("preimage side mismatch",)),
+        }
+        vectors = [(n, a) for n in range(2, 6) for a in lemma_gen_vectors(n)]
+        assert not any(verify_reduction_bijection(n, a) for n, a in vectors)
+        for edit, (name, replacement, messages) in table.items():
+            original = getattr(flowcat.ctengine, name)
+            patch_ctengine(name, replacement)
+            fired = {f for n, a in vectors for f in verify_reduction_bijection(n, a)}
+            patch_ctengine(name, original)
+            for message in messages:
+                assert any(f.startswith(message) for f in fired), (edit, message)
 
     def test_square_rows_are_y_plus_one_row(self):
         # every (head, h_{n-1}) that the lemma-gen vectors pin, each once
@@ -355,8 +381,8 @@ class TestReductionIdentity:
             Y = list(staircase_matrices(n, head))
             diag = [n - 2 + sum(row[n - 2] for row in C) for C in Y]
             for h in hooks:
-                built = [Y[i] + ((0,) * (n - 2) + (n - 2, last),)
-                         for i, last in _square_rows(diag, h)]
+                built = [C + ((0,) * (n - 2) + (n - 2, h + d),)
+                         for C, d in zip(Y, diag) if h + d >= 0]
                 assert sorted(built) == sorted(staircase_matrices(n, head + (h,)))
 
     def test_bijection_enumerates_y_once(self, patch_ctengine):
