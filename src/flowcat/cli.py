@@ -221,17 +221,20 @@ def _cmd_verify(args, out) -> int:
     failed = 0
     for name in names:
         fn = verify.SUITES[name]
-        results = fn(args.max_n) if args.max_n is not None else fn()
-        if not results:
+        # one pass that holds a count and the failures, never every check
+        count, bad = 0, []
+        for r in fn(args.max_n) if args.max_n is not None else fn():
+            count += 1
+            ok = r.ok
+            if not ok:
+                bad.append(r)
+            if args.format == "csv":
+                writer.writerow([name, r.label, ok, r.expected, r.actual])
+        if not count:
             raise CLIError(f"suite {name} makes no checks at --max-n {args.max_n}")
-        bad = [r for r in results if not r.ok]
         failed += len(bad)
-        if args.format == "csv":
-            for r in results:
-                writer.writerow([name, r.label, r.ok, r.expected, r.actual])
-        else:
-            print(f"{name}: {len(results) - len(bad)}/{len(results)} checks passed",
-                  file=out)
+        if args.format != "csv":
+            print(f"{name}: {count - len(bad)}/{count} checks passed", file=out)
             for r in bad:
                 print(f"  FAIL {r.label}: expected {r.expected}, got {r.actual}",
                       file=out)

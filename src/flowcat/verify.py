@@ -1,7 +1,10 @@
 """Cross-verification sweeps tying the independent computation routes together.
 
-Each suite returns a list of CheckResult records; the CLI `verify` subcommand
-and the acceptance tests both drive these.
+Each suite is a generator of CheckResult records, yielded one at a time in a
+fixed order; the CLI `verify` subcommand and the acceptance tests both drive
+these and hold only a count and the failures.  A suite's argument check is
+its first statement, so a bad size raises on the first `next()`, before any
+work.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 from operator import index
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 # Engines are lazily registered by the package: a suite runs only the modules
 # it calls.
@@ -27,92 +30,75 @@ class CheckResult(NamedTuple):
         return self.expected == self.actual
 
 
-def suite_catalan_volume(max_n: int = 5) -> list[CheckResult]:
+def suite_catalan_volume(max_n: int = 5) -> Iterator[CheckResult]:
     """Volume of F_{K_{n+1}}(1,1,0,...,0,-2) three ways plus frozen values."""
     frozen = {2: 1, 3: 4, 4: 64, 5: 5120}
-    out = []
     for n in range(2, max_n + 1):
         netflow = (1, 1) + (0,) * (n - 2) + (-2,)
         vol = lidskii.lidskii_volume(core.complete_graph(n + 1), netflow)
-        out.append(CheckResult(f"n={n} composition-sum vs CT", vol,
-                               ctengine.catalan_polytope_ct(n)))
-        out.append(CheckResult(f"n={n} composition-sum vs closed form", vol,
-                               closedform.catalan_polytope_volume(n)))
+        yield CheckResult(f"n={n} composition-sum vs CT", vol,
+                          ctengine.catalan_polytope_ct(n))
+        yield CheckResult(f"n={n} composition-sum vs closed form", vol,
+                          closedform.catalan_polytope_volume(n))
         if n in frozen:
-            out.append(CheckResult(f"n={n} frozen value", frozen[n], vol))
-    return out
+            yield CheckResult(f"n={n} frozen value", frozen[n], vol)
 
 
-def suite_cry(max_n: int = 7) -> list[CheckResult]:
+def suite_cry(max_n: int = 7) -> Iterator[CheckResult]:
     """CRY_n volume by indegree specialization vs the Catalan product."""
     frozen = {3: 1, 4: 2, 5: 10, 6: 140, 7: 5880}
-    out = []
     for n in range(3, max_n + 1):
         vol = lidskii.ps_volume(core.complete_graph(n + 1))
-        out.append(CheckResult(f"n={n} indegree route vs Catalan product",
-                               closedform.cry_product(n), vol))
+        yield CheckResult(f"n={n} indegree route vs Catalan product",
+                          closedform.cry_product(n), vol)
         if n in frozen:
-            out.append(CheckResult(f"n={n} frozen value", frozen[n], vol))
-    return out
+            yield CheckResult(f"n={n} frozen value", frozen[n], vol)
 
 
-def suite_morris_polytopes(max_n: int = 4) -> list[CheckResult]:
+def suite_morris_polytopes(max_n: int = 4) -> Iterator[CheckResult]:
     """Volume of the a,b,m family with netflow (1,0,...,0,-1)."""
-    out = []
     for n, a, b, m in product(range(2, max_n + 1), (1, 2), (1, 2), (1, 2)):
         vol = lidskii.lidskii_volume(core.morris_graph(n + 1, a, b, m),
                                      (1,) + (0,) * (n - 1) + (-1,))
-        out.append(CheckResult(
-            f"n={n} a={a} b={b} m={m}", closedform.morris_polytope_volume(n, a, b, m), vol
-        ))
-    return out
+        yield CheckResult(f"n={n} a={a} b={b} m={m}",
+                          closedform.morris_polytope_volume(n, a, b, m), vol)
 
 
-def suite_tesler_polytopes(max_n: int = 3) -> list[CheckResult]:
+def suite_tesler_polytopes(max_n: int = 3) -> Iterator[CheckResult]:
     """Volume of the a,b family with netflow (1,...,1,-n)."""
-    out = []
     for n, a, b in product(range(2, max_n + 1), (1, 2), (1, 2)):
         vol = lidskii.lidskii_volume(core.tesler_graph(n + 1, a, b), (1,) * n + (-n,))
         closed = closedform.tesler_family_volume(n, a, b)
         ct = ctengine.tesler_ct(n, a, b)
-        out.append(CheckResult(f"n={n} a={a} b={b} sum vs CT", vol, ct))
-        out.append(CheckResult(f"n={n} a={a} b={b} sum vs closed form",
-                               vol, closed))
+        yield CheckResult(f"n={n} a={a} b={b} sum vs CT", vol, ct)
+        yield CheckResult(f"n={n} a={a} b={b} sum vs closed form", vol, closed)
         if a == 1 and b == 1:
-            out.append(CheckResult(f"n={n} unit-case product formula",
-                                   closedform.tesler_unit_volume(n), vol))
-    return out
+            yield CheckResult(f"n={n} unit-case product formula",
+                              closedform.tesler_unit_volume(n), vol)
 
 
-def suite_morris_identity(max_n: int = 4) -> list[CheckResult]:
+def suite_morris_identity(max_n: int = 4) -> Iterator[CheckResult]:
     """Constant term vs Gamma product over the Morris parameter box."""
-    out = []
     for n, a, b, m in product(range(1, max_n + 1), (0, 1, 2), (1, 2, 3), (1, 2)):
-        out.append(CheckResult(
-            f"n={n} a={a} b={b} m={m}",
-            closedform.morris_closed(n, a, b, m),
-            ctengine.morris_ct(n, a, b, m),
-        ))
-    return out
+        yield CheckResult(f"n={n} a={a} b={b} m={m}", closedform.morris_closed(n, a, b, m),
+                          ctengine.morris_ct(n, a, b, m))
 
 
-def suite_reduction_identity(max_n: int = 5) -> list[CheckResult]:
+def suite_reduction_identity(max_n: int = 5) -> Iterator[CheckResult]:
     """Two-sided CT reduction identity and its bijection, over small vectors.
 
-    The bijection is enumerated for n <= 5 only, so a larger max_n is
-    rejected before any work is done."""
+    The bijection is enumerated for n <= 5 only, so a larger max_n raises
+    on the first `next()`, before any work is done."""
     if max_n > 5:
         raise ValueError("the reduction bijection is enumerated for max_n <= 5 only")
-    out = []
     for n in range(2, max_n + 1):
         for a_vec in product((-1, 0, 1, 2), repeat=n):
             if comb(n, 2) - sum(a_vec) < 0:
                 continue
             lhs, rhs = ctengine.reduction_identity_sides(n, a_vec)
-            out.append(CheckResult(f"n={n} a={a_vec} sides", lhs, rhs))
+            yield CheckResult(f"n={n} a={a_vec} sides", lhs, rhs)
             failures = ctengine.verify_reduction_bijection(n, a_vec)
-            out.append(CheckResult(f"n={n} a={a_vec} bijection", True, not failures))
-    return out
+            yield CheckResult(f"n={n} a={a_vec} bijection", True, not failures)
 
 
 # --- series-vs-matrix expansion check ---------------------------------------
@@ -219,14 +205,14 @@ def _matrix_histogram(
     return _box_product({(0,) * n: 1}, factors, box)
 
 
-def suite_series_expansion(max_n: int = 3) -> list[CheckResult]:
+def suite_series_expansion(max_n: int = 3) -> Iterator[CheckResult]:
     """Matrix-expansion identity for the pole product, checked coefficient by
     coefficient on a degree box, with a truncation-stability guard; plus the
     worked 4x4 row/hook sums.  At 4 variables the box expansion gives no
-    result in two minutes, so max_n > 3 is rejected before any work."""
+    result in two minutes, so max_n > 3 raises on the first `next()`, before
+    any work."""
     if max_n > 3:
         raise ValueError("the series expansion is checked for max_n <= 3 only")
-    out = []
     A = ((4, 2, 5, 7), (0, 1, 2, 3), (0, 0, 1, 8), (0, 0, 0, 3))
     # the printed total for h_2 in the source is an arithmetic slip; the
     # definition (and its own summands 2+3-1-2) give 2
@@ -236,7 +222,7 @@ def suite_series_expansion(max_n: int = 3) -> list[CheckResult]:
         ("worked matrix r_3", 9, sum(A[2])),
         ("worked matrix h_3", 0, ctengine._hook_sum(A, 3)),
     ):
-        out.append(CheckResult(label, expected, actual))
+        yield CheckResult(label, expected, actual)
 
     box = 5
     for n in range(1, max_n + 1):
@@ -246,25 +232,22 @@ def suite_series_expansion(max_n: int = 3) -> list[CheckResult]:
             series = _series_histogram(f, box, bound=12)
             series_hi = _series_histogram(f, box, bound=14)
             matrices = _matrix_histogram(n, b, m, box, bound=12)
-            out.append(CheckResult(
-                f"n={n} b={b} m={m} truncation stable", series, series_hi
-            ))
-            out.append(CheckResult(
-                f"n={n} b={b} m={m} series vs matrices", series, matrices
-            ))
-    return out
+            yield CheckResult(f"n={n} b={b} m={m} truncation stable", series, series_hi)
+            yield CheckResult(f"n={n} b={b} m={m} series vs matrices", series, matrices)
 
 
 # --- vertex counts ----------------------------------------------------------
 
 
 @lru_cache(maxsize=8)
-def _forest_peelings(n1: int) -> tuple[tuple[tuple[int, int, bool], ...], ...]:
-    """The leaf peeling of every forest on vertices 1..n1, as its steps
-    (leaf, other end, leaf is the tail), both ends 0-based.  A subset of the
-    edges (i, j), i < j, is peeled by removing, in edge order and pass after
-    pass, each edge with a degree-1 end (its tail if both); it is a forest
-    exactly when no edge is left.  The order depends only on the edges."""
+def _forest_peelings(n1: int) -> tuple[bytes, ...]:
+    """The leaf peeling of every forest on vertices 1..n1, one byte per step
+    (leaf, other end, leaf is the tail), both ends 0-based, coded as
+    (leaf * n1 + other) * 2 + tail; codes stay below 98 for n1 <= 7.  A
+    subset of the edges (i, j), i < j, is peeled by removing, in edge order
+    and pass after pass, each edge with a degree-1 end (its tail if both);
+    it is a forest exactly when no edge is left.  The order depends only on
+    the edges."""
     edges = [(i, j) for i in range(n1) for j in range(i + 1, n1)]
     out = []
     for mask in range(1 << len(edges)):
@@ -275,20 +258,21 @@ def _forest_peelings(n1: int) -> tuple[tuple[tuple[int, int, bool], ...], ...]:
         for i, j in live:
             degree[i] += 1
             degree[j] += 1
-        steps = []
+        steps = bytearray()
         peeling = True
         while live and peeling:
             peeling = False
             for e in list(live):
                 i, j = e
                 if degree[i] == 1 or degree[j] == 1:
-                    steps.append((i, j, True) if degree[i] == 1 else (j, i, False))
+                    leaf, other, tail = (i, j, 1) if degree[i] == 1 else (j, i, 0)
+                    steps.append((leaf * n1 + other) * 2 + tail)
                     degree[i] -= 1
                     degree[j] -= 1
                     live.remove(e)
                     peeling = True
         if not live:
-            out.append(tuple(steps))
+            out.append(bytes(steps))
     return tuple(out)
 
 
@@ -304,10 +288,13 @@ def vertices_by_acyclic_support(a: Sequence[int]) -> int:
     if len(a) > 6:
         raise ValueError("acyclic supports are enumerated for n <= 6 only")
     netflow = a + (-sum(a),)
+    n1 = len(netflow)
+    decode = tuple((c // 2 // n1, c // 2 % n1, c % 2) for c in range(2 * n1 * n1))
     count = 0
-    for steps in _forest_peelings(len(netflow)):
+    for steps in _forest_peelings(n1):
         residual = list(netflow)
-        for leaf, other, tail in steps:
+        for code in steps:
+            leaf, other, tail = decode[code]
             flow = residual[leaf] if tail else -residual[leaf]
             if flow <= 0:  # not a vertex
                 break
@@ -318,38 +305,30 @@ def vertices_by_acyclic_support(a: Sequence[int]) -> int:
     return count
 
 
-def suite_faces(max_rs: int = 4) -> list[CheckResult]:
+def suite_faces(max_rs: int = 4) -> Iterator[CheckResult]:
     """Vertex counts: tableau enumeration vs the 2^{r+1} 3^s formula, the
     2 * 3^{n-2} corollary for n = 2..6, and the acyclic-support
     enumeration.  The r, s checks have n = r+s+2, so max_rs outside
-    0..MAX_N - 2 is rejected before any work."""
+    0..MAX_N - 2 raises on the first `next()`, before any work."""
     if not 0 <= max_rs <= faces.MAX_N - 2:
         raise ValueError(f"faces are computed for n <= {faces.MAX_N}, "
                          f"so 0 <= max_rs <= {faces.MAX_N - 2}")
-    out = []
     for r in range(max_rs + 1):
         for s in range(max_rs - r + 1):
             a = (1,) + (0,) * r + (1,) + (0,) * s
             got = len(faces.vertex_tableaux(a))
-            out.append(CheckResult(
-                f"r={r} s={s} tableaux vs formula",
-                faces.vertex_count_formula(r, s), got
-            ))
+            yield CheckResult(f"r={r} s={s} tableaux vs formula",
+                              faces.vertex_count_formula(r, s), got)
     for n in range(2, 7):
         a = (1, 1) + (0,) * (n - 2)
-        out.append(CheckResult(
-            f"n={n} two-ones corollary",
-            faces.catalan_polytope_vertices(n), len(faces.vertex_tableaux(a))
-        ))
+        yield CheckResult(f"n={n} two-ones corollary",
+                          faces.catalan_polytope_vertices(n), len(faces.vertex_tableaux(a)))
     for n in range(1, 5):  # n+1 <= 5
         for a in product((0, 1, 2), repeat=n):
             if sum(a) == 0:
                 continue
-            out.append(CheckResult(
-                f"a={a} tableaux vs acyclic supports",
-                vertices_by_acyclic_support(a), len(faces.vertex_tableaux(a))
-            ))
-    return out
+            yield CheckResult(f"a={a} tableaux vs acyclic supports",
+                              vertices_by_acyclic_support(a), len(faces.vertex_tableaux(a)))
 
 
 def _volume_sweep_pairs(
@@ -374,22 +353,19 @@ def _volume_sweep_pairs(
     return pairs
 
 
-def suite_lidskii_vs_ehrhart(limit: int = 5) -> list[CheckResult]:
+def suite_lidskii_vs_ehrhart(limit: int = 5) -> Iterator[CheckResult]:
     """Composition-sum volume vs Ehrhart interpolation, and the two lattice
     point routes, over the whole acceptance sweep with at most `limit`
     vertices."""
-    out = []
     for label, G, netflow in _volume_sweep_pairs(limit):
         vol = lidskii.lidskii_volume(G, netflow)
         ehr = lidskii.ehrhart_polynomial(G, netflow).normalized_volume
-        out.append(CheckResult(f"{label} volume", vol, ehr))
-        out.append(CheckResult(
-            f"{label} points", core.kostant(G, netflow), lidskii.lidskii_points(G, netflow)
-        ))
-    return out
+        yield CheckResult(f"{label} volume", vol, ehr)
+        yield CheckResult(f"{label} points", core.kostant(G, netflow),
+                          lidskii.lidskii_points(G, netflow))
 
 
-SUITES: dict[str, Callable[[], list[CheckResult]]] = {
+SUITES: dict[str, Callable[..., Iterator[CheckResult]]] = {
     "thm1": suite_catalan_volume,
     "cry": suite_cry,
     "thm2": suite_morris_polytopes,

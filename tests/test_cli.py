@@ -1,9 +1,14 @@
 import csv
+import hashlib
 import io
 import json
+import os
+import sys
+import tracemalloc
 
 import pytest
 
+from flowcat import verify
 from flowcat.cli import main
 from flowcat.faces import MAX_N
 
@@ -302,6 +307,45 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "cry")
         assert code == 0
         assert "checks passed" in out
+
+    def test_csv_of_every_suite_is_pinned(self, capsys):
+        # every check's label and both values, byte for byte, so a suite that
+        # drops, reorders or relabels a check, or a memo that serves a stale
+        # value, fails
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "298038e89d9c5dd0239fd6aa1cc416dfd1f439df39a7047f93437a439eef78b4")
+
+    def test_checks_stream_through_both_formats(self, monkeypatch):
+        def many_checks():
+            for _ in range(100_000):
+                yield verify.CheckResult("check", 1, 1)  # a new tuple each time
+
+        monkeypatch.setitem(verify.SUITES, "cry", many_checks)
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            for fmt in ("text", "csv"):
+                tracemalloc.start()
+                try:
+                    code = main(["verify", "--suite", "cry", "--format", fmt])
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert code == 0
+                # a list of the 100,000 checks would hold about 7 MB
+                assert peak < 1 << 20, (fmt, peak)
+
+    def test_csv_keeps_the_rows_before_a_suite_raises(self, capsys, monkeypatch):
+        def fails_partway():
+            yield verify.CheckResult("first", 1, 1)
+            raise ValueError("second check out of range")
+
+        monkeypatch.setitem(verify.SUITES, "cry", fails_partway)
+        code, out, err = run(capsys, "verify", "--suite", "cry", "--format", "csv")
+        assert code == 1
+        assert out == "cry,first,True,1,1\n"
+        assert "second check out of range" in err
 
     def test_unknown_suite_is_input_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nope")

@@ -439,7 +439,7 @@ class TestReductionIdentity:
 
         for name in counts:
             patch_ctengine(name, counted(name))
-        results = suite_reduction_identity()
+        results = list(suite_reduction_identity())
         assert len(results) == 2678 and all(r.ok for r in results)
         # Y once for each of the 85 (n, head) pairs; 835 distinct left-hand
         # integrands among the 1,339 vectors, and one right-hand CT per

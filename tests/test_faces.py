@@ -1,4 +1,3 @@
-import random
 from collections import Counter
 from itertools import product
 from math import comb
@@ -247,9 +246,9 @@ def reference_acyclic_support_count(a):
     return count
 
 
-# every prefix in {0,1,2}^n with n <= 4, and a seeded sample with n = 5
-ACYCLIC_PREFIXES = [a for n in range(5) for a in product((0, 1, 2), repeat=n)] + (
-    random.Random(5).sample(list(product((0, 1, 2), repeat=5)), 20))
+# every prefix in {0,1,2}^n with n <= 5: each replays the byte-coded forest
+# peelings of `_forest_peelings`, up to n1 = 6 vertices
+ACYCLIC_PREFIXES = [a for n in range(6) for a in product((0, 1, 2), repeat=n)]
 
 
 class TestVertexCounts:
