@@ -46,8 +46,8 @@ def _register_lazily(*modules: str) -> None:
         globals()[module] = lazy
 
 
-_register_lazily("compositions", "core", "closedform", "ctengine", "faces", "lidskii",
-                 "verify")
+_register_lazily("compositions", "core", "closedform", "ctengine", "expansion", "faces",
+                 "lidskii", "verify")
 
 
 def __getattr__(name: str) -> object:

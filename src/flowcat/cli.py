@@ -10,12 +10,11 @@ deterministic: keys sorted, big integers as decimal strings.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from typing import Callable, Sequence
 
 # Lazily registered by the package: a module runs only when a route uses it.
+# `csv` and `json` are imported where a query reads or writes them.
 from . import closedform, core, ctengine, faces, lidskii, verify
 
 # The keys of verify.SUITES, written out (as is faces.MAX_N - 2 in the help
@@ -39,6 +38,7 @@ def _parse_graph(spec: str) -> tuple[str, tuple[int, ...], core.Multigraph]:
     if not sep:
         raise CLIError(f"graph spec needs a kind prefix: {spec!r}")
     if kind == "file":
+        import json
         try:
             with open(rest) as fh:
                 data = json.load(fh)
@@ -113,6 +113,7 @@ def _emit(payload: dict[str, object], fmt: str, out) -> None:
     """Print the payload as one JSON object, a CSV header and row, or one
     `key: value` line per key.  In CSV and text a dict or list value is
     written as JSON."""
+    import json
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True), file=out)
         return
@@ -120,6 +121,7 @@ def _emit(payload: dict[str, object], fmt: str, out) -> None:
     fields = [json.dumps(payload[k], sort_keys=True)
               if isinstance(payload[k], (dict, list)) else payload[k] for k in keys]
     if fmt == "csv":
+        import csv
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(keys)
         writer.writerow(fields)
@@ -198,6 +200,7 @@ def _cmd_fvector(args, out) -> int:
 
 
 def _cmd_ct(args, out) -> int:
+    import json
     try:
         if args.file == "-":
             data = json.load(sys.stdin)
@@ -217,7 +220,10 @@ def _cmd_ct(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    writer = csv.writer(out, lineterminator="\n")
+    write = None
+    if args.format == "csv":
+        import csv
+        write = csv.writer(out, lineterminator="\n").writerow
     failed = 0
     for name in names:
         fn = verify.SUITES[name]
@@ -228,8 +234,8 @@ def _cmd_verify(args, out) -> int:
             ok = r.ok
             if not ok:
                 bad.append(r)
-            if args.format == "csv":
-                writer.writerow([name, r.label, ok, r.expected, r.actual])
+            if write:
+                write([name, r.label, ok, r.expected, r.actual])
         if not count:
             raise CLIError(f"suite {name} makes no checks at --max-n {args.max_n}")
         failed += len(bad)

@@ -9,18 +9,20 @@ end of a product is a hard error, never a rounding question.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-def _gamma_product(scale: int | Fraction, num: Iterable[int],
-                   den: Iterable[int]) -> Fraction:
+def _gamma_product(scale: int, num: Iterable[int], den: Iterable[int]) -> Fraction:
     """scale * prod_{x in num} G(x/2) / prod_{x in den} G(x/2), exactly.
 
     G(k) = (k-1)! and G(k+1/2) = (2k)! sqrt(pi) / (4^k k!).  The sqrt(pi)
-    factors are counted, and one left over is an ArithmeticError.
+    factors are counted, and one left over is an ArithmeticError.  Only the
+    Gamma products load `fractions`; the integer products never do.
     """
+    from fractions import Fraction
     ratio = [1, 1]  # numerator, denominator
     roots = 0
     for args, side in ((num, 0), (den, 1)):
@@ -66,10 +68,10 @@ def morris_closed(n: int, a: int, b: int, m: int) -> Fraction:
     if n < 1:
         raise ValueError("n must be positive")
     return _gamma_product(
-        Fraction(1, factorial(n)),
+        1,
         [2 * (a + b) + (n - 1 + j) * m for j in range(n)] + [m] * n,
         [x for j in range(n) for x in (2 * b + j * m, m + j * m, 2 * a + j * m + 2)],
-    )
+    ) / factorial(n)
 
 
 def catalan_polytope_volume(n: int) -> int:
@@ -90,10 +92,10 @@ def morris_polytope_volume(n: int, a: int, b: int, m: int) -> Fraction:
     if n < 2:
         raise ValueError("n must be at least 2")
     return _gamma_product(
-        Fraction(1, factorial(n - 1)),
+        1,
         [2 * (a - 1 + b) + (n - 2 + j) * m for j in range(n - 1)] + [m] * (n - 1),
         [x for j in range(n - 1) for x in (2 * a + j * m, 2 * b + j * m, m + j * m)],
-    )
+    ) / factorial(n - 1)
 
 
 def tesler_family_volume(n: int, a: int, b: int) -> Fraction:

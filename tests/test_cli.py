@@ -368,7 +368,7 @@ class TestVerify:
         def work(*args):
             raise AssertionError("the suite started before checking --max-n")
 
-        monkeypatch.setattr("flowcat.verify._series_histogram", work)
+        monkeypatch.setattr("flowcat.expansion._series_histogram", work)
         code, _, err = run(capsys, "verify", "--suite", "lemma-expand",
                            "--max-n", "4")
         assert code == 1

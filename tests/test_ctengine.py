@@ -26,7 +26,8 @@ from flowcat.ctengine import (
     tesler_ct,
     verify_reduction_bijection,
 )
-from flowcat.verify import _series_histogram, suite_reduction_identity
+from flowcat.expansion import _series_histogram
+from flowcat.verify import suite_reduction_identity
 
 
 def series_ct(f: CTIntegrand, bound: int) -> int:

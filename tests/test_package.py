@@ -26,9 +26,10 @@ from flowcat.verify import CheckResult, vertices_by_acyclic_support
 # Runs one query in a fresh interpreter (with no arguments it only imports the
 # package) and prints, on its last line, the flowcat modules that executed (a
 # lazily registered module that never ran is not yet a plain module) and the
-# modules that loading and running flowcat added.
+# modules that loading and running flowcat added.  The probe imports `json`
+# only after it has taken both snapshots, so `new` shows whether the query did.
 PROBE = """
-import json, sys, types
+import sys, types
 before = set(sys.modules)
 if sys.argv[1:]:
     import flowcat.cli
@@ -36,13 +37,11 @@ if sys.argv[1:]:
 else:
     import flowcat
     code = 0
-print(json.dumps({
-    "code": code,
-    "executed": sorted(name[len("flowcat."):] for name, module in sys.modules.items()
-                       if name.startswith("flowcat.")
-                       and type(module) is types.ModuleType),
-    "new": sorted(set(sys.modules) - before),
-}))
+executed = sorted(name[len("flowcat."):] for name, module in sys.modules.items()
+                  if name.startswith("flowcat.") and type(module) is types.ModuleType)
+new = sorted(set(sys.modules) - before)
+import json
+print(json.dumps({"code": code, "executed": executed, "new": new}))
 """
 
 SRC = os.path.dirname(os.path.dirname(flowcat.__file__))
@@ -66,6 +65,7 @@ def ct_file(tmp_path):
 
 
 CATALAN_5 = ("--graph", "complete:5", "--netflow", "1,1,0,0,-2")
+MORRIS_4 = ("--graph", "morris:4,1,1,1", "--netflow", "1,0,0,-1")
 
 # (suite, --max-n small enough to be quick, the engine modules it runs)
 LIDSKII_ROUTE = {"compositions", "core", "lidskii"}
@@ -77,38 +77,63 @@ VERIFY_ROUTES = [
     ("thm3", 2, LIDSKII_ROUTE | {"ctengine", "closedform"}),
     ("morris", 1, CT_ROUTE | {"closedform"}),
     ("lemma-gen", 2, CT_ROUTE),
-    ("lemma-expand", 1, CT_ROUTE),
+    ("lemma-expand", 1, CT_ROUTE | {"expansion"}),
     ("faces", 0, {"faces"}),
     ("lidskii-vs-ehrhart", 3, LIDSKII_ROUTE),
 ]
 
 
+# Standard-library modules a query loads only when it needs them: `fractions`
+# (with `decimal`) for a Gamma product, `csv` for --format csv, `json` to read
+# or print JSON.
+ON_DEMAND = {"fractions", "decimal", "csv", "json"}
+GAMMA = {"fractions", "decimal"}
+
+# (argv, the engine modules it runs, the ON_DEMAND modules it loads)
+QUERY_ROUTES = [
+    (("points", "--graph", "complete:4", "--netflow", "1,0,0,-1",
+      "--method", "lidskii"), GRAPH_ROUTE | {"lidskii"}, {"json"}),
+    (("points", "--graph", "complete:4", "--netflow", "1,0,0,-1",
+      "--method", "kostant"), GRAPH_ROUTE, {"json"}),
+    (("volume", *CATALAN_5, "--method", "lidskii"), GRAPH_ROUTE | {"lidskii"}, {"json"}),
+    (("volume", *CATALAN_5, "--method", "ehrhart"), GRAPH_ROUTE | {"lidskii"}, {"json"}),
+    (("volume", *CATALAN_5, "--method", "ct"), GRAPH_ROUTE | {"ctengine"}, {"json"}),
+    (("volume", *CATALAN_5, "--method", "closed"), GRAPH_ROUTE | {"closedform"},
+     {"json"}),
+    (("fvector", "--netflow", "1,1,0"), {"cli", "faces"}, set()),
+    (("vertices", "--netflow", "1,1,0", "--enumerate", "--format", "csv"),
+     {"cli", "faces"}, {"csv", "json"}),
+    (("volume", *MORRIS_4, "--method", "closed"), GRAPH_ROUTE | {"closedform"},
+     GAMMA | {"json"}),
+    (("volume", "--graph", "tesler:4,1,1", "--netflow", "1,1,1,-3", "--method", "closed",
+      "--format", "csv"), GRAPH_ROUTE | {"closedform"}, GAMMA | {"csv", "json"}),
+    (("fvector", "--netflow", "1,1,0", "--format", "json"), {"cli", "faces"}, {"json"}),
+    (("vertices", "--netflow", "1,1,0", "--count-only"), {"cli", "faces"}, set()),
+    (("verify", "--suite", "cry", "--max-n", "3", "--format", "csv"),
+     {"cli", "verify", "closedform"} | LIDSKII_ROUTE, {"csv"}),
+]
+
+
+def assert_on_demand(new, loaded):
+    assert not new & {"dataclasses", "inspect"}
+    assert new & ON_DEMAND == loaded
+
+
 class TestImportSurface:
-    @pytest.mark.parametrize("argv, executed", [
-        (("points", "--graph", "complete:4", "--netflow", "1,0,0,-1",
-          "--method", "lidskii"), GRAPH_ROUTE | {"lidskii"}),
-        (("points", "--graph", "complete:4", "--netflow", "1,0,0,-1",
-          "--method", "kostant"), GRAPH_ROUTE),
-        (("volume", *CATALAN_5, "--method", "lidskii"), GRAPH_ROUTE | {"lidskii"}),
-        (("volume", *CATALAN_5, "--method", "ehrhart"), GRAPH_ROUTE | {"lidskii"}),
-        (("volume", *CATALAN_5, "--method", "ct"), GRAPH_ROUTE | {"ctengine"}),
-        (("volume", *CATALAN_5, "--method", "closed"), GRAPH_ROUTE | {"closedform"}),
-        (("fvector", "--netflow", "1,1,0"), {"cli", "faces"}),
-        (("vertices", "--netflow", "1,1,0", "--enumerate", "--format", "csv"),
-         {"cli", "faces"}),
-    ])
-    def test_a_query_runs_only_its_route(self, argv, executed):
+    # ids by position, so that a case keeps its name when a column is added
+    @pytest.mark.parametrize(
+        "argv, executed, loaded", QUERY_ROUTES,
+        ids=[f"argv{i}-executed{i}" for i in range(len(QUERY_ROUTES))])
+    def test_a_query_runs_only_its_route(self, argv, executed, loaded):
         result = probe(*argv)
         assert result["code"] == 0
         assert set(result["executed"]) == executed
-        new = set(result["new"])
-        assert not new & {"dataclasses", "inspect"}
-        assert ("fractions" in new) == ("closedform" in executed)
+        assert_on_demand(set(result["new"]), loaded)
 
     def test_ct_file_runs_the_ct_engine_only(self, ct_file):
         result = probe("ct", "--file", ct_file)
         assert set(result["executed"]) == GRAPH_ROUTE | {"ctengine"}
-        assert not set(result["new"]) & {"dataclasses", "inspect", "fractions"}
+        assert_on_demand(set(result["new"]), {"json"})
 
     @pytest.mark.parametrize("suite, max_n, engines", VERIFY_ROUTES,
                              ids=[suite for suite, _, _ in VERIFY_ROUTES])
@@ -116,14 +141,13 @@ class TestImportSurface:
         result = probe("verify", "--suite", suite, "--max-n", str(max_n))
         assert result["code"] == 0
         assert set(result["executed"]) == {"cli", "verify"} | engines
-        new = set(result["new"])
-        assert not new & {"dataclasses", "inspect"}
-        assert ("fractions" in new) == (suite in {"thm1", "cry", "thm2", "thm3", "morris"})
+        assert_on_demand(set(result["new"]),
+                         GAMMA if suite in {"thm2", "thm3", "morris"} else set())
 
     def test_importing_the_package_runs_no_engine(self):
         result = probe()
         assert result["executed"] == []
-        assert not set(result["new"]) & {"dataclasses", "inspect", "fractions"}
+        assert_on_demand(set(result["new"]), set())
 
 
 class TestNamespace:
