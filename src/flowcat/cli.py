@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 # `csv` and `json` are imported where a query reads or writes them.
 from . import closedform, core, ctengine, faces, lidskii, verify
 
-# The keys of verify.SUITES, written out (as is faces.MAX_N - 2 in the help
-# of --max-n) so that building the parser runs neither module; tests pin both.
+# The keys of verify.SUITES and, in the help of --max-n, their defaults and
+# bounds, written out so that building the parser runs no engine; tests pin both.
 _SUITE_NAMES = ("thm1", "cry", "thm2", "thm3", "morris", "lemma-gen", "lemma-expand",
                 "faces", "lidskii-vs-ehrhart")
 
@@ -32,16 +32,26 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(message)
 
 
+def _load_json(fh) -> object:
+    """json.load, rejecting true and false, which are read as the ints 1 and 0."""
+    import json
+    nodes = [json.load(fh)]
+    for x in nodes:  # the list grows as it is read, so this visits every value
+        if isinstance(x, bool):
+            raise ValueError(f"{str(x).lower()} is not a JSON integer")
+        nodes.extend(x.values() if isinstance(x, dict) else x if isinstance(x, list) else ())
+    return nodes[0]
+
+
 def _parse_graph(spec: str) -> tuple[str, tuple[int, ...], core.Multigraph]:
     """Returns (kind, params, graph)."""
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise CLIError(f"graph spec needs a kind prefix: {spec!r}")
     if kind == "file":
-        import json
         try:
             with open(rest) as fh:
-                data = json.load(fh)
+                data = _load_json(fh)
             return "custom", (), core.Multigraph.from_json_dict(data)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise CLIError(f"cannot read graph file {rest!r}: {exc}")
@@ -179,7 +189,7 @@ def _cmd_vertices(args, out) -> int:
         print(len(tableaux), file=out)
         return 0
     payload: dict[str, object] = {"count": str(len(tableaux))}
-    if args.enumerate and not args.count_only:
+    if args.enumerate:
         payload["tableaux"] = [[list(row) for row in rows] for rows in tableaux]
         payload["forests"] = [faces.tableau_to_forest(rows) for rows in tableaux]
     _emit(payload, args.format, out)
@@ -200,13 +210,12 @@ def _cmd_fvector(args, out) -> int:
 
 
 def _cmd_ct(args, out) -> int:
-    import json
     try:
         if args.file == "-":
-            data = json.load(sys.stdin)
+            data = _load_json(sys.stdin)
         else:
             with open(args.file) as fh:
-                data = json.load(fh)
+                data = _load_json(fh)
         f = ctengine.CTIntegrand.from_json_dict(data)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CLIError(f"cannot read integrand: {exc}")
@@ -272,8 +281,9 @@ def build_parser() -> _Parser:
                        help="vertices of the complete graph flow polytope")
     p.add_argument("--netflow", required=True,
                    help="nonnegative prefix a_1,...,a_n of the netflow")
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--enumerate", action="store_true")
+    listing = p.add_mutually_exclusive_group()
+    listing.add_argument("--count-only", action="store_true")
+    listing.add_argument("--enumerate", action="store_true")
     p.add_argument("--format", choices=("json", "text", "csv"), default="text")
     p.set_defaults(fn=_cmd_vertices)
 
@@ -292,11 +302,9 @@ def build_parser() -> _Parser:
     p.add_argument("--suite", choices=_SUITE_NAMES + ("all",), default="all")
     p.add_argument(
         "--max-n", type=int, default=None,
-        help="the size of each suite; default in brackets. thm1, cry, thm2, "
-             "thm3, morris: largest n [5, 7, 4, 3, 4]. lemma-gen: largest n, "
-             "at most 5 [5]. lemma-expand: largest number of variables, at most 3 [3]. "
-             "faces: largest r+s of the 2^(r+1) 3^s vertex checks, at most 6 "
-             "[4]. lidskii-vs-ehrhart: most vertices of a graph [5]")
+        help="the largest n of every check: K_{n+1}, or n variables. Default "
+             "[bound]: thm1 5, cry 7, thm2 4, thm3 3, morris 4, lemma-gen 5 [5], "
+             "lemma-expand 3 [3], faces 6 [8], lidskii-vs-ehrhart 4")
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(fn=_cmd_verify)
 

@@ -204,59 +204,44 @@ def vertices_by_acyclic_support(a: Sequence[int]) -> int:
     return count
 
 
-def suite_faces(max_rs: int = 4) -> Iterator[CheckResult]:
-    """Vertex counts: tableau enumeration vs the 2^{r+1} 3^s formula, the
-    2 * 3^{n-2} corollary for n = 2..6, and the acyclic-support
-    enumeration.  The r, s checks have n = r+s+2, so max_rs outside
-    0..MAX_N - 2 raises on the first `next()`, before any work."""
-    if not 0 <= max_rs <= faces.MAX_N - 2:
-        raise ValueError(f"faces are computed for n <= {faces.MAX_N}, "
-                         f"so 0 <= max_rs <= {faces.MAX_N - 2}")
-    for r in range(max_rs + 1):
-        for s in range(max_rs - r + 1):
-            a = (1,) + (0,) * r + (1,) + (0,) * s
-            got = len(faces.vertex_tableaux(a))
+def suite_faces(max_n: int = 6) -> Iterator[CheckResult]:
+    """Vertex counts: tableau enumeration vs the 2^{r+1} 3^s formula for
+    n = r+s+2 <= max_n, the 2 * 3^{n-2} corollary for n = 2..max_n, and the
+    acyclic-support enumeration for n <= min(max_n, 4), since its oracle
+    scans 2^(n(n+1)/2) edge masks.  A max_n outside 0..MAX_N raises on the
+    first `next()`, before any work."""
+    if not 0 <= max_n <= faces.MAX_N:
+        raise ValueError(f"faces are computed for 0 <= max_n <= {faces.MAX_N} only")
+    for r in range(max_n - 1):
+        for s in range(max_n - 1 - r):
+            got = len(faces.vertex_tableaux((1,) + (0,) * r + (1,) + (0,) * s))
             yield CheckResult(f"r={r} s={s} tableaux vs formula",
                               faces.vertex_count_formula(r, s), got)
-    for n in range(2, 7):
+    for n in range(2, max_n + 1):
         a = (1, 1) + (0,) * (n - 2)
         yield CheckResult(f"n={n} two-ones corollary",
                           faces.catalan_polytope_vertices(n), len(faces.vertex_tableaux(a)))
-    for n in range(1, 5):  # n+1 <= 5
-        for a in product((0, 1, 2), repeat=n):
-            if sum(a) == 0:
-                continue
+    for n in range(1, min(max_n, 4) + 1):
+        for a in filter(any, product((0, 1, 2), repeat=n)):  # a != 0
             yield CheckResult(f"a={a} tableaux vs acyclic supports",
                               vertices_by_acyclic_support(a), len(faces.vertex_tableaux(a)))
 
 
-def _volume_sweep_pairs(
-    limit: int = 5,
-) -> list[tuple[str, core.Multigraph, tuple[int, ...]]]:
-    pairs = []
-    for n in range(2, limit):
-        pairs.append((f"complete({n + 1}) two-ones",
-                      core.complete_graph(n + 1), (1, 1) + (0,) * (n - 2) + (-2,)))
-    for n in range(3, limit):
-        pairs.append((f"complete({n + 1}) cry",
-                      core.complete_graph(n + 1), (1,) + (0,) * (n - 1) + (-1,)))
-    for n, a, b, m in product((2, 3, 4), (1, 2), (1, 2), (1, 2)):
-        if n + 1 <= limit:
-            pairs.append((f"morris({n + 1},{a},{b},{m})",
-                          core.morris_graph(n + 1, a, b, m),
-                          (1,) + (0,) * (n - 1) + (-1,)))
-    for n, a, b in product((2, 3), (1, 2), (1, 2)):
-        if n + 1 <= limit:
-            pairs.append((f"tesler({n + 1},{a},{b})",
-                          core.tesler_graph(n + 1, a, b), (1,) * n + (-n,)))
-    return pairs
-
-
-def suite_lidskii_vs_ehrhart(limit: int = 5) -> Iterator[CheckResult]:
+def suite_lidskii_vs_ehrhart(max_n: int = 4) -> Iterator[CheckResult]:
     """Composition-sum volume vs Ehrhart interpolation, and the two lattice
-    point routes, over the whole acceptance sweep with at most `limit`
-    vertices."""
-    for label, G, netflow in _volume_sweep_pairs(limit):
+    point routes, for n <= max_n on K_{n+1} with the two-ones and CRY
+    netflows, on the morris box (n <= 4, a, b, m in {1, 2}) and on the
+    tesler box (n <= 3, a, b in {1, 2})."""
+    pairs = [(f"complete({n + 1}) two-ones", core.complete_graph(n + 1),
+              (1, 1) + (0,) * (n - 2) + (-2,)) for n in range(2, max_n + 1)]
+    pairs += [(f"complete({n + 1}) cry", core.complete_graph(n + 1),
+               (1,) + (0,) * (n - 1) + (-1,)) for n in range(3, max_n + 1)]
+    pairs += [(f"morris({n + 1},{a},{b},{m})", core.morris_graph(n + 1, a, b, m),
+               (1,) + (0,) * (n - 1) + (-1,))
+              for n, a, b, m in product(range(2, min(max_n, 4) + 1), (1, 2), (1, 2), (1, 2))]
+    pairs += [(f"tesler({n + 1},{a},{b})", core.tesler_graph(n + 1, a, b), (1,) * n + (-n,))
+              for n, a, b in product(range(2, min(max_n, 3) + 1), (1, 2), (1, 2))]
+    for label, G, netflow in pairs:
         vol = lidskii.lidskii_volume(G, netflow)
         ehr = lidskii.ehrhart_polynomial(G, netflow).normalized_volume
         yield CheckResult(f"{label} volume", vol, ehr)

@@ -3,8 +3,11 @@
 Each test runs one verification suite, consuming its checks as they are
 yielded, and prints a single PASS/FAIL line on the real stdout (capture
 suspended) so the outcome is always visible.
-Every comparison is an exact integer equality.
+Every comparison is an exact integer equality.  A last table test checks
+that each suite's max_n is the largest n of its checks.
 """
+
+import inspect
 
 import pytest
 
@@ -70,3 +73,30 @@ def test_criterion_8_vertex_counts(report):
 
 def test_criterion_9_oracle_agreement(report):
     report("9 oracle agreement", SUITES["lidskii-vs-ehrhart"]())
+
+
+# (suite, the largest max_n to sweep up to, the default of max_n).  Each sweep
+# stops at the default, except lemma-expand, whose default (1.3 s) the
+# criterion test above already runs.
+MAX_N_SWEEPS = [("thm1", 5, 5), ("cry", 7, 7), ("thm2", 4, 4), ("thm3", 3, 3),
+                ("morris", 4, 4), ("lemma-gen", 5, 5), ("lemma-expand", 2, 3),
+                ("faces", 6, 6), ("lidskii-vs-ehrhart", 4, 4)]
+
+
+@pytest.mark.parametrize("name, top, default", MAX_N_SWEEPS,
+                         ids=[name for name, _, _ in MAX_N_SWEEPS])
+def test_max_n_is_the_largest_n(name, top, default):
+    fn = SUITES[name]
+    # unstarted, a suite's generator holds only its arguments, so a call
+    # without one runs the same checks as the call at the default
+    assert inspect.getgeneratorlocals(fn()) == {"max_n": default}
+    smaller = list(fn(0))
+    # at 0 no check has its n: only lemma-expand's four worked-matrix checks run
+    assert len(smaller) == (4 if name == "lemma-expand" else 0)
+    for k in range(1, top + 1):
+        larger = list(fn(k))
+        by_label = {r.label: r for r in larger}
+        assert len(by_label) == len(larger)
+        # every check at k - 1 is made, with the same values, at k
+        assert all(by_label.get(r.label) == r for r in smaller), k
+        smaller = larger

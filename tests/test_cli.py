@@ -218,6 +218,17 @@ class TestPoints:
         assert out == ""
         assert "integer" in err
 
+    def test_boolean_multiplicity(self, capsys, tmp_path):
+        graph = {"vertices": 3, "edges": [[1, 2, True], [2, 3, 1]]}
+        code, out, err = run(
+            capsys,
+            "points", "--graph", write_graph(tmp_path, graph), "--netflow", "1,0,-1",
+            "--method", "kostant",
+        )
+        assert code == 1
+        assert out == ""
+        assert "true is not a JSON integer" in err
+
     def test_routes_agree(self, capsys):
         code, out, _ = run(
             capsys,
@@ -249,6 +260,13 @@ class TestVertices:
         assert payload["count"] == "2"
         assert len(payload["tableaux"]) == 2
         assert len(payload["forests"]) == 2
+
+    def test_count_only_and_enumerate_exclude_each_other(self, capsys):
+        code, out, err = run(capsys, "vertices", "--netflow", "1,1",
+                             "--count-only", "--enumerate")
+        assert code == 1
+        assert out == ""
+        assert "not allowed with" in err
 
     def test_rejects_negative_prefix(self, capsys):
         code, _, err = run(capsys, "vertices", "--netflow", "1,-1",
@@ -296,6 +314,14 @@ class TestCt:
         assert code == 1
         assert out == ""
         assert "integer" in err
+
+    def test_boolean_variable_count(self, capsys, tmp_path):
+        path = tmp_path / "integrand.json"
+        path.write_text(json.dumps({"vars": True, "numerator": [[1, [0]]]}))
+        code, out, err = run(capsys, "ct", "--file", str(path))
+        assert code == 1
+        assert out == ""
+        assert "true is not a JSON integer" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "ct", "--file", "/no/such/file.json")
@@ -392,9 +418,9 @@ class TestVerify:
 
         monkeypatch.setattr("flowcat.faces.vertex_tableaux", work)
         code, _, err = run(capsys, "verify", "--suite", "faces",
-                           "--max-n", str(MAX_N - 1))
+                           "--max-n", str(MAX_N + 1))
         assert code == 1
-        assert f"max_rs <= {MAX_N - 2}" in err
+        assert f"max_n <= {MAX_N}" in err
 
     def test_faces_rejects_negative_max_n_before_any_work(
         self, capsys, monkeypatch
@@ -406,7 +432,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--suite", "faces", "--max-n", "-1")
         assert code == 1
         assert out == ""
-        assert f"0 <= max_rs <= {MAX_N - 2}" in err
+        assert f"0 <= max_n <= {MAX_N}" in err
 
 
 class TestParsing:

@@ -4,8 +4,10 @@ integer check of the entry points."""
 
 import argparse
 import importlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -78,8 +80,8 @@ VERIFY_ROUTES = [
     ("morris", 1, CT_ROUTE | {"closedform"}),
     ("lemma-gen", 2, CT_ROUTE),
     ("lemma-expand", 1, CT_ROUTE | {"expansion"}),
-    ("faces", 0, {"faces"}),
-    ("lidskii-vs-ehrhart", 3, LIDSKII_ROUTE),
+    ("faces", 1, {"faces"}),
+    ("lidskii-vs-ehrhart", 2, LIDSKII_ROUTE),
 ]
 
 
@@ -183,8 +185,21 @@ class TestParserLiterals:
         assert tuple(self.verify_action("suite").choices) == (
             tuple(verify.SUITES) + ("all",))
 
-    def test_max_n_help_names_the_faces_bound(self):
-        assert f"at most {faces.MAX_N - 2} " in self.verify_action("max_n").help
+    def test_max_n_help_states_each_default_and_bound(self):
+        # "<suite> <default>" or "<suite> <default> [<bound>]", in suite order
+        stated = self.verify_action("max_n").help.partition("Default [bound]: ")[2]
+        entries = re.findall(r"([\w-]+) (\d+)(?: \[(\d+)\])?", stated)
+        assert [name for name, _, _ in entries] == list(verify.SUITES)
+        for name, default, bound in entries:
+            fn = verify.SUITES[name]
+            assert inspect.signature(fn).parameters["max_n"].default == int(default)
+            # a bound is the largest max_n whose first check runs; a suite
+            # with none takes any max_n, such as one above every bound
+            top = int(bound) if bound else 20
+            next(fn(top))
+            if bound:
+                with pytest.raises(ValueError, match=f"max_n <= {bound}"):
+                    next(fn(top + 1))
 
 
 RECORDS = [
