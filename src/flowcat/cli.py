@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 from typing import Callable, Sequence
 
 # Lazily registered by the package: a module runs only when a route uses it.
@@ -228,25 +229,30 @@ def _cmd_ct(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
+    size = () if args.max_n is None else (args.max_n,)
+    # every suite checks its bounds and makes its first check before any output
+    started = []
+    for name in verify.SUITES if args.suite == "all" else [args.suite]:
+        checks = verify.SUITES[name](*size)
+        first = next(checks, None)
+        if first is None:
+            raise CLIError(f"suite {name} makes no checks at --max-n {args.max_n}")
+        started.append((name, chain((first,), checks)))
     write = None
     if args.format == "csv":
         import csv
         write = csv.writer(out, lineterminator="\n").writerow
     failed = 0
-    for name in names:
-        fn = verify.SUITES[name]
+    for name, checks in started:
         # one pass that holds a count and the failures, never every check
         count, bad = 0, []
-        for r in fn(args.max_n) if args.max_n is not None else fn():
+        for r in checks:
             count += 1
             ok = r.ok
             if not ok:
                 bad.append(r)
             if write:
                 write([name, r.label, ok, r.expected, r.actual])
-        if not count:
-            raise CLIError(f"suite {name} makes no checks at --max-n {args.max_n}")
         failed += len(bad)
         if args.format != "csv":
             print(f"{name}: {count - len(bad)}/{count} checks passed", file=out)
@@ -274,7 +280,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("points", help="lattice point count of a flow polytope")
     add_graph_flags(p)
     p.add_argument("--method", action="append",
-                   choices=("lidskii", "ehrhart", "kostant"))
+                   choices=("lidskii", "ehrhart", "kostant"),
+                   help="ehrhart is decoded from lidskii sums; kostant is the "
+                        "route that does not use the Lidskii engine")
     p.set_defaults(fn=_cmd_points)
 
     p = sub.add_parser("vertices",

@@ -26,8 +26,6 @@ from typing import Callable, Sequence
 
 from .compositions import compositions_weight
 
-Edge = tuple[int, int, int]  # (source, target, multiplicity)
-
 
 class Multigraph(namedtuple("Multigraph", "vertex_count edges")):
     """Loopless directed multigraph on vertices 1..vertex_count, edges i < j.
@@ -94,25 +92,17 @@ def morris_graph(vertices: int, a: int, b: int, m: int) -> Multigraph:
     There is deliberately no (1, n+1) edge.
     """
     n1 = vertices
-    edges: list[Edge] = []
-    for i in range(2, n1):
-        edges.append((1, i, a))
-        edges.append((i, n1, b))
-    for i in range(2, n1):
-        for j in range(i + 1, n1):
-            edges.append((i, j, m))
-    return Multigraph(n1, tuple(edges))
+    edges = [(1, i, a) for i in range(2, n1)] + [(i, n1, b) for i in range(2, n1)]
+    edges += [(i, j, m) for i in range(2, n1) for j in range(i + 1, n1)]
+    return Multigraph(n1, edges)
 
 
 def tesler_graph(vertices: int, a: int, b: int) -> Multigraph:
     """K_{n+1}^{a,b}: pairs within [n] with multiplicity a, edges (i,n+1) x b."""
     n1 = vertices
-    edges: list[Edge] = []
-    for i in range(1, n1):
-        for j in range(i + 1, n1):
-            edges.append((i, j, a))
-        edges.append((i, n1, b))
-    return Multigraph(n1, tuple(edges))
+    edges = [(i, j, a) for i in range(1, n1) for j in range(i + 1, n1)]
+    edges += [(i, n1, b) for i in range(1, n1)]
+    return Multigraph(n1, edges)
 
 
 def degree_offsets(G: Multigraph) -> tuple[tuple[int, ...], tuple[int, ...]]:

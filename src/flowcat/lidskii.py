@@ -2,8 +2,8 @@
 
 Implements the Baldoni-Vergne composition-indexed (Lidskii) expansions of the
 normalized volume and of the lattice-point count, the Postnikov-Stanley
-indegree specialization for netflow (1,0,...,0,-1), and an independent
-Ehrhart oracle: the forward differences of Kostant evaluations.
+indegree specialization for netflow (1,0,...,0,-1), and the Ehrhart
+polynomial, decoded from the lattice-point sum at one large dilation.
 
 A Lidskii sum is not evaluated term by term.  Its composition parts are
 chosen inside a single Kostant flow sweep (`flowcat.core._flow_sweep`): the
@@ -12,8 +12,7 @@ weights the part it takes.  The sweep subtracts a vertex's part from its
 netflow, so it runs on the reversed graph, where the term K_{G'}(i - t)
 reads K_{G'^rev}(rev(t - i)); placing the parts from the sink end keeps the
 states few.  Graphs with dead ends are first reduced to the vertices that
-reach the sink, where the expansions hold; the Ehrhart oracle uses the same
-reduction.
+reach the sink, where the expansions hold.
 """
 
 from __future__ import annotations
@@ -27,10 +26,9 @@ from .core import Multigraph, _flow_sweep, degree_offsets, kostant
 
 
 class NotFullDimensionalError(ValueError):
-    """The values K_G(t * a), t = 0..N-n+2, are not those of a polynomial of
-    degree at most N-n, as for an empty polytope; raised instead of a bad
-    polynomial.  A nonempty polytope of dimension below N-n does not raise:
-    its polynomial is exact and its normalized volume is 0."""
+    """The polytope is empty: a vertex with positive netflow cannot reach
+    the sink.  It is raised for nothing else; a nonempty polytope of
+    dimension below N-n gets its exact polynomial and normalized volume 0."""
 
 
 def _check_netflow(G: Multigraph, netflow: Sequence[int]) -> tuple[int, ...]:
@@ -167,26 +165,46 @@ class EhrhartPolynomial(NamedTuple):
 
 
 def ehrhart_polynomial(G: Multigraph, netflow: Sequence[int]) -> EhrhartPolynomial:
-    """The polynomial t -> K_G(t * netflow) of degree at most N-n, from the
-    forward differences of its values at t = 0..N-n+2.
+    """The polynomial P(t) = K_G(t * netflow) of degree at most d = N-n, read
+    off two `lidskii_points` sums: M = P(T), T = max(d, 1), and V = P(B) with
+    B = 2d + d(2M + 1).
 
     G is first reduced by `_drop_dead_ends`, which keeps every K_G(t * a),
-    so N and n are those of the reduced graph.  The differences of order
-    N-n+1 and N-n+2 must vanish; if they do not, or the polytope is empty,
-    NotFullDimensionalError is raised.
+    so N and n are those of the reduced graph.  NotFullDimensionalError
+    means the polytope is empty.  Otherwise every vertex reaches the sink
+    with a_v >= 0, so the polytope is nonempty, and it is a lattice polytope
+    (the incidence matrix is totally unimodular).
+
+    Why the digits are exact.  Write P(t) = sum_k D_k binom(t, k).
+    - D_k >= 0: by Stanley's theorem P(t) = sum_j h*_j binom(t + e - j, e)
+      with h* >= 0 (e the dimension), and Vandermonde's identity expands
+      each binom(t + e - j, e) in the binom(t, k) with coefficients >= 0.
+    - So P is nondecreasing for t >= 0, and D_k <= P(k) <= P(T) = M for
+      k <= d.  T >= 1 keeps the check below a real one when d = 0: it then
+      compares P(1) with the decoded P(0).
+    - binom(B, j+1) / binom(B, j) = (B - j)/(j + 1) >= 2M + 2 for j < d, so
+      sum_{j<k} D_j binom(B, j) <= M binom(B, k) / (2M + 1) < binom(B, k).
+      Greedy division of V by binom(B, d), ..., binom(B, 0) thus returns
+      D_d, ..., D_0.  For d = 0, B = 0 and V = P(0) = M: the constant.
+    A wrong sum shows as a digit above M, or as a polynomial that misses M
+    at T; either raises ArithmeticError.
     """
     reduced = _drop_dead_ends(G, _check_netflow(G, netflow))
     if reduced is None:
         raise NotFullDimensionalError("the polytope is empty")
     G, a = reduced
     d = G.edge_count - (G.vertex_count - 1)
-    row = [kostant(G, tuple(t * x for x in a)) for t in range(d + 3)]
+    T = max(d, 1)
+    M = lidskii_points(G, tuple(T * x for x in a))
+    B = 2 * d + d * (2 * M + 1)
+    V = lidskii_points(G, tuple(B * x for x in a))
     differences = []
-    while row:
-        differences.append(row[0])
-        row = [y - x for x, y in zip(row, row[1:])]
-    if differences[d + 1] or differences[d + 2]:
-        raise NotFullDimensionalError(
-            f"the values at t = 0..{d + 2} are not a polynomial of degree <= {d}"
-        )
-    return EhrhartPolynomial(tuple(differences[: d + 1]))
+    for k in range(d, -1, -1):
+        digit, V = divmod(V, comb(B, k))
+        if digit > M:
+            raise ArithmeticError(f"Ehrhart difference {k} is {digit} > P({T}) = {M}")
+        differences.append(digit)
+    p = EhrhartPolynomial(tuple(reversed(differences)))
+    if p(T) != M:
+        raise ArithmeticError(f"the decoded Ehrhart polynomial is {p(T)} at t = {T}, not {M}")
+    return p

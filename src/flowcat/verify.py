@@ -228,8 +228,9 @@ def suite_faces(max_n: int = 6) -> Iterator[CheckResult]:
 
 
 def suite_lidskii_vs_ehrhart(max_n: int = 4) -> Iterator[CheckResult]:
-    """Composition-sum volume vs Ehrhart interpolation, and the two lattice
-    point routes, for n <= max_n on K_{n+1} with the two-ones and CRY
+    """Composition-sum volume vs the Ehrhart polynomial decoded from the
+    lattice-point sum (two Lidskii formulas on one sweep), and that sum vs
+    `kostant`, for n <= max_n on K_{n+1} with the two-ones and CRY
     netflows, on the morris box (n <= 4, a, b, m in {1, 2}) and on the
     tesler box (n <= 3, a, b in {1, 2})."""
     pairs = [(f"complete({n + 1}) two-ones", core.complete_graph(n + 1),

@@ -400,6 +400,13 @@ class TestVerify:
         assert code == 1
         assert "max_n <= 3" in err
 
+    def test_all_checks_every_bound_before_any_output(self, capsys):
+        # lemma-expand, the seventh suite, is bounded at 3
+        code, out, err = run(capsys, "verify", "--suite", "all", "--max-n", "4")
+        assert code == 1
+        assert out == ""
+        assert "max_n <= 3" in err
+
     def test_suite_with_no_checks_is_an_error(self, capsys):
         for suite, max_n in (("thm1", -1), ("cry", -1), ("thm2", -1),
                              ("thm3", -1), ("morris", -1), ("lemma-gen", -1),

@@ -1,4 +1,4 @@
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +14,11 @@ from flowcat.core import (
     morris_graph,
     tesler_graph,
 )
+from flowcat import lidskii
 from flowcat.lidskii import (
     EhrhartPolynomial,
     NotFullDimensionalError,
+    _drop_dead_ends,
     ehrhart_polynomial,
     lidskii_points,
     lidskii_volume,
@@ -37,6 +39,26 @@ def reference_sum(G, a, coefficient):
         if coeff:
             total += coeff * kostant(Gp, tuple(ik - tk for ik, tk in zip(comp, t)))
     return total
+
+
+def reference_ehrhart(G, a):
+    """Reference for the decoded Ehrhart polynomial: the forward differences
+    of kostant(G, t * a) at the d + 3 nodes t = 0..d+2, d = N - n of the
+    graph without dead ends; the differences of order d+1 and d+2 must
+    vanish."""
+    reduced = _drop_dead_ends(G, a)
+    if reduced is None:
+        raise NotFullDimensionalError("the polytope is empty")
+    G, a = reduced
+    d = G.edge_count - (G.vertex_count - 1)
+    row = [kostant(G, tuple(t * x for x in a)) for t in range(d + 3)]
+    differences = []
+    while row:
+        differences.append(row[0])
+        row = [y - x for x, y in zip(row, row[1:])]
+    if differences[d + 1] or differences[d + 2]:
+        raise NotFullDimensionalError(f"the values are not a polynomial of degree <= {d}")
+    return EhrhartPolynomial(tuple(differences[: d + 1]))
 
 
 def multinomial(parts):
@@ -218,6 +240,65 @@ class TestEhrhart:
         G = Multigraph(3, ((1, 2, 1), (2, 3, 2)))
         assert ehrhart_polynomial(G, (0, 1, -1)).normalized_volume == 1
         assert lidskii_volume(G, (0, 1, -1)) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(custom_multigraphs())
+    def test_matches_the_node_route(self, case):
+        G, a = case
+        try:
+            expected = reference_ehrhart(G, a)
+        except NotFullDimensionalError:
+            with pytest.raises(NotFullDimensionalError):
+                ehrhart_polynomial(G, a)
+            return
+        assert ehrhart_polynomial(G, a) == expected
+
+    def test_zero_dimensional(self):
+        # d = 0: one edge, one flow, at every dilation
+        assert ehrhart_polynomial(complete_graph(2), (1, -1)).differences == (1,)
+
+    def test_catalan_beyond_the_node_route(self):
+        G = complete_graph(10)
+        p = ehrhart_polynomial(G, (1, 1) + (0,) * 7 + (-2,))
+        assert p.normalized_volume == catalan_polytope_volume(9)
+
+    def test_two_points_sums_and_no_kostant_call(self, monkeypatch):
+        calls = []
+
+        def counted(G, netflow):
+            calls.append(netflow)
+            return lidskii_points(G, netflow)
+
+        def forbidden(*args):
+            raise AssertionError("ehrhart_polynomial called kostant")
+
+        monkeypatch.setattr(lidskii, "lidskii_points", counted)
+        monkeypatch.setattr(lidskii, "kostant", forbidden)
+        for G, a in family_cases():
+            calls.clear()
+            ehrhart_polynomial(G, a)
+            assert 1 <= len(calls) <= 2
+
+    @pytest.mark.parametrize("bump, message", [
+        (lambda M, B, d: 1, r"is \d+ at t = \d+, not \d+"),
+        (lambda M, B, d: (M + 1) * comb(B, d), r"difference \d+ is \d+ > P\(\d+\)"),
+    ], ids=["value at max(d, 1)", "digit above M"])
+    def test_each_self_check_fires(self, monkeypatch, bump, message):
+        G, a = complete_graph(4), (1, 1, 0, -2)
+        d = G.edge_count - 3
+        values = []
+
+        def wrong_at_large_dilation(G, netflow):
+            value = lidskii_points(G, netflow)
+            values.append(value)
+            if len(values) == 2:  # the sum at t = B
+                M, B = values[0], netflow[0]
+                value += bump(M, B, d)
+            return value
+
+        monkeypatch.setattr(lidskii, "lidskii_points", wrong_at_large_dilation)
+        with pytest.raises(ArithmeticError, match=message):
+            ehrhart_polynomial(G, a)
 
     def test_binomial_basis_evaluation(self):
         p = EhrhartPolynomial((1, 2, 1))
