@@ -22,8 +22,7 @@ def main() -> None:
                 for m in (1, 2):
                     left = morris_ct(n, a, b, m)
                     right = morris_closed(n, a, b, m)
-                    print(f"{n:>2} {a:>2} {b:>2} {m:>2} {left:>14} "
-                          f"{str(right):>14}")
+                    print(f"{n:>2} {a:>2} {b:>2} {m:>2} {left:>14} {right:>14}")
                     assert left == right
 
 

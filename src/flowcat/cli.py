@@ -88,15 +88,9 @@ def _parse_netflow(raw: str, G: core.Multigraph) -> tuple[int, ...]:
     return vec
 
 
-def _as_int(value: object, method: str) -> int:
-    if getattr(value, "denominator", 1) != 1:
-        raise CLIError(f"method {method} produced a non-integer volume {value}")
-    return int(value)  # type: ignore[call-overload]
-
-
 def _special_form(
     kind: str, params: tuple[int, ...], netflow: tuple[int, ...]
-) -> dict[str, Callable[[], object]]:
+) -> dict[str, Callable[[], int]]:
     """The "ct" and "closed" routes when the (graph, netflow) pair matches one
     of the families with a dedicated constant-term and closed-form route.
     Each route runs only when its method is asked for."""
@@ -142,7 +136,7 @@ def _emit(payload: dict[str, object], fmt: str, out) -> None:
 
 
 def _run_methods(
-    args, compute: dict[str, object], result_key: str, out
+    args, compute: dict[str, Callable[[], int]], result_key: str, out
 ) -> int:
     """Evaluate each requested method, report agreement, emit the payload."""
     values: dict[str, int] = {}
@@ -150,7 +144,7 @@ def _run_methods(
         fn = compute.get(method)
         if fn is None:
             raise CLIError(f"method {method!r} does not apply to this input")
-        values[method] = _as_int(fn(), method)
+        values[method] = fn()
     agreement = len(set(values.values())) == 1
     payload: dict[str, object] = {
         result_key: str(next(iter(values.values()))),
@@ -164,7 +158,7 @@ def _run_methods(
 def _cmd_volume(args, out) -> int:
     kind, params, G = _parse_graph(args.graph)
     netflow = _parse_netflow(args.netflow, G)
-    compute: dict[str, object] = {
+    compute: dict[str, Callable[[], int]] = {
         "lidskii": lambda: lidskii.lidskii_volume(G, netflow),
         "ehrhart": lambda: lidskii.ehrhart_polynomial(G, netflow).normalized_volume,
         **_special_form(kind, params, netflow),

@@ -2,28 +2,26 @@
 identity right-hand side, and the Gamma-product volume formulas for the
 three polytope families.
 
-A Gamma product at half-integer arguments is evaluated exactly as a ratio of
-integers, with its sqrt(pi) factors counted apart; a sqrt(pi) left over at the
-end of a product is a hard error, never a rounding question.
+Every formula is an integer.  A Gamma product at half-integer arguments is
+evaluated exactly as a quotient of integers, with its sqrt(pi) factors counted
+apart; a sqrt(pi) or a remainder left over at the end of a product is a hard
+error, never a rounding question.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
-if TYPE_CHECKING:
-    from fractions import Fraction
 
-def _gamma_product(scale: int, num: Iterable[int], den: Iterable[int]) -> Fraction:
+def _gamma_product(scale: int, num: Iterable[int], den: Iterable[int]) -> int:
     """scale * prod_{x in num} G(x/2) / prod_{x in den} G(x/2), exactly.
 
     G(k) = (k-1)! and G(k+1/2) = (2k)! sqrt(pi) / (4^k k!).  The sqrt(pi)
-    factors are counted, and one left over is an ArithmeticError.  Only the
-    Gamma products load `fractions`; the integer products never do.
+    factors are counted, and one left over is an ArithmeticError; so is a
+    product that is not an integer.
     """
-    from fractions import Fraction
-    ratio = [1, 1]  # numerator, denominator
+    ratio = [scale, 1]  # numerator, denominator
     roots = 0
     for args, side in ((num, 0), (den, 1)):
         for x in args:
@@ -38,7 +36,10 @@ def _gamma_product(scale: int, num: Iterable[int], den: Iterable[int]) -> Fracti
                 ratio[side] *= factorial(k - 1)
     if roots:
         raise ArithmeticError(f"value carries a residual pi^({roots}/2) factor")
-    return Fraction(*ratio) * scale
+    value, rem = divmod(*ratio)
+    if rem:
+        raise ArithmeticError("the Gamma product is not an integer")
+    return value
 
 
 def catalan(i: int) -> int:
@@ -59,7 +60,7 @@ def cry_product(n: int) -> int:
     return out
 
 
-def morris_closed(n: int, a: int, b: int, m: int) -> Fraction:
+def morris_closed(n: int, a: int, b: int, m: int) -> int:
     """Right-hand side of the Morris constant-term identity:
 
     (1/n!) prod_{j=0}^{n-1} G(a+b+(n-1+j)m/2) G(m/2)
@@ -70,8 +71,9 @@ def morris_closed(n: int, a: int, b: int, m: int) -> Fraction:
     return _gamma_product(
         1,
         [2 * (a + b) + (n - 1 + j) * m for j in range(n)] + [m] * n,
-        [x for j in range(n) for x in (2 * b + j * m, m + j * m, 2 * a + j * m + 2)],
-    ) / factorial(n)
+        [x for j in range(n) for x in (2 * b + j * m, m + j * m, 2 * a + j * m + 2)]
+        + [2 * n + 2],  # G(n+1) = n!
+    )
 
 
 def catalan_polytope_volume(n: int) -> int:
@@ -82,7 +84,7 @@ def catalan_polytope_volume(n: int) -> int:
     return 2 ** (comb(n, 2) - 1) * cry_product(n)
 
 
-def morris_polytope_volume(n: int, a: int, b: int, m: int) -> Fraction:
+def morris_polytope_volume(n: int, a: int, b: int, m: int) -> int:
     """Gamma-product volume of the a,b,m multigraph family with netflow
     (1, 0, ..., 0, -1):
 
@@ -94,11 +96,12 @@ def morris_polytope_volume(n: int, a: int, b: int, m: int) -> Fraction:
     return _gamma_product(
         1,
         [2 * (a - 1 + b) + (n - 2 + j) * m for j in range(n - 1)] + [m] * (n - 1),
-        [x for j in range(n - 1) for x in (2 * a + j * m, 2 * b + j * m, m + j * m)],
-    ) / factorial(n - 1)
+        [x for j in range(n - 1) for x in (2 * a + j * m, 2 * b + j * m, m + j * m)]
+        + [2 * n],  # G(n) = (n-1)!
+    )
 
 
-def tesler_family_volume(n: int, a: int, b: int) -> Fraction:
+def tesler_family_volume(n: int, a: int, b: int) -> int:
     """Gamma-product volume of the a,b multigraph family with netflow
     (1, ..., 1, -n):
 

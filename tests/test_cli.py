@@ -8,9 +8,9 @@ import tracemalloc
 
 import pytest
 
-from flowcat import verify
+from flowcat import closedform, verify
 from flowcat.cli import main
-from flowcat.faces import MAX_N
+from flowcat.faces import F_VECTOR_MAX_N, MAX_N
 
 
 def run(capsys, *argv):
@@ -106,6 +106,20 @@ class TestVolume:
         assert code == 1
         assert out == ""
         assert "integer" in err
+
+    def test_non_integral_closed_form_exits_1(self, capsys, monkeypatch):
+        # one more G(3) = 2 in the denominator halves the CRY volume 1
+        exact = closedform._gamma_product
+        monkeypatch.setattr(closedform, "_gamma_product",
+                            lambda scale, num, den: exact(scale, num, [*den, 6]))
+        code, out, err = run(
+            capsys,
+            "volume", "--graph", "morris:4,1,1,1", "--netflow", "1,0,0,-1",
+            "--method", "closed",
+        )
+        assert code == 1
+        assert out == ""
+        assert "not an integer" in err
 
     def test_constant_term_only_when_asked(self, capsys, monkeypatch):
         def eager(*args):
@@ -273,6 +287,13 @@ class TestVertices:
                            "--count-only")
         assert code == 1
 
+    def test_rejects_n_above_vertex_bound(self, capsys):
+        prefix = ",".join(["1", "1"] + ["0"] * (MAX_N - 1))
+        code, out, err = run(capsys, "vertices", "--netflow", prefix, "--count-only")
+        assert code == 1
+        assert out == ""
+        assert f"n <= {MAX_N}" in err
+
 
 class TestFvector:
     def test_text_output(self, capsys):
@@ -286,11 +307,11 @@ class TestFvector:
         assert json.loads(out)["f_vector"] == ["2", "1"]
 
     def test_rejects_n_above_face_bound(self, capsys):
-        prefix = ",".join(["1", "1"] + ["0"] * (MAX_N - 1))
+        prefix = ",".join(["1", "1"] + ["0"] * (F_VECTOR_MAX_N - 1))
         code, out, err = run(capsys, "fvector", "--netflow", prefix)
         assert code == 1
         assert out == ""
-        assert f"n <= {MAX_N}" in err
+        assert f"n <= {F_VECTOR_MAX_N}" in err
 
 
 class TestCt:

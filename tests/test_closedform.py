@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -16,16 +15,18 @@ from flowcat.closedform import (
     tesler_family_volume,
     tesler_unit_volume,
 )
+from flowcat.ctengine import morris_ct
 
 
 class TestGammaHalf:
-    """_gamma_product(scale, num, den) = scale * prod G(x/2) / prod G(x/2)."""
+    """_gamma_product(scale, num, den) = scale * prod G(x/2) / prod G(x/2),
+    an int; a value that is not one raises."""
 
     def test_integer_arguments(self):
         assert _gamma_product(1, [2], []) == 1
         assert _gamma_product(1, [8], []) == 6
         assert _gamma_product(1, [10], []) == 24
-        assert _gamma_product(Fraction(1, 2), [10], [8]) == 2
+        assert _gamma_product(1, [10], [8]) == 4
 
     def test_half_integer_arguments(self):
         with pytest.raises(ArithmeticError):
@@ -33,8 +34,15 @@ class TestGammaHalf:
         with pytest.raises(ArithmeticError):
             _gamma_product(1, [], [3])
         # G(3/2) = sqrt(pi)/2, G(5/2) = 3 sqrt(pi)/4
-        assert _gamma_product(1, [3], [1]) == Fraction(1, 2)
-        assert _gamma_product(1, [5], [1]) == Fraction(3, 4)
+        assert _gamma_product(2, [3], [1]) == 1
+        assert _gamma_product(4, [5], [1]) == 3
+
+    def test_non_integral_value_raises(self):
+        # G(3/2)/G(1/2) = 1/2 and G(4)/G(5) = 1/4
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            _gamma_product(1, [3], [1])
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            _gamma_product(3, [8], [10])
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -45,8 +53,11 @@ class TestGammaHalf:
     @given(st.integers(1, 20))
     def test_functional_equation(self, two_j):
         # Gamma(z + 1) = z Gamma(z) with z = two_j / 2
-        assert _gamma_product(1, [two_j + 2], [two_j]) == Fraction(two_j, 2)
-        assert _gamma_product(Fraction(two_j, 2), [two_j], [two_j + 2]) == 1
+        assert _gamma_product(2, [two_j + 2], [two_j]) == two_j
+        assert _gamma_product(two_j, [two_j], [two_j + 2]) == 2
+        if two_j % 2:
+            with pytest.raises(ArithmeticError, match="not an integer"):
+                _gamma_product(1, [two_j + 2], [two_j])
 
     def test_sqrt_pi_bookkeeping(self):
         # Gamma(1/2)^2 = pi is not rational; dividing by it cancels it
@@ -78,14 +89,23 @@ class TestMorrisClosed:
                     assert morris_closed(1, a, b, m) == comb(a + b - 1, a)
 
     def test_rationality_across_parities(self):
-        # odd m exercises the sqrt(pi) cancellation
+        # odd m exercises the sqrt(pi) cancellation; every value is an exact int
         for n in (2, 3):
             for m in (1, 2, 3):
-                value = morris_closed(n, 1, 1, m)
-                assert isinstance(value, Fraction)
+                for value in (morris_closed(n, 1, 1, m),
+                              morris_polytope_volume(n, 1, 1, m),
+                              tesler_family_volume(n, m, 1)):
+                    assert type(value) is int
 
     def test_known_value(self):
         assert morris_closed(1, 2, 3, 1) == 6
+
+    def test_odd_m_3_matches_constant_term(self):
+        # the verify suite's box has m <= 2
+        for n in (1, 2, 3):
+            for a in (0, 1, 2):
+                for b in (1, 2, 3):
+                    assert morris_closed(n, a, b, 3) == morris_ct(n, a, b, 3)
 
 
 class TestVolumeFormulas:

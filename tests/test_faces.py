@@ -1,6 +1,6 @@
 from collections import Counter
 from itertools import product
-from math import comb
+from math import comb, factorial
 from operator import index
 
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import flowcat.verify
 from flowcat.faces import (
+    F_VECTOR_MAX_N,
     MAX_N,
     catalan_polytope_vertices,
     f_vector,
@@ -137,9 +138,12 @@ class TestEnumeration:
                 fn((0.5, 1))
 
     def test_size_bound(self):
-        for fn in (f_vector, vertex_tableaux):
-            with pytest.raises(ValueError, match=f"n <= {MAX_N}"):
-                fn((1,) * (MAX_N + 1))
+        with pytest.raises(ValueError, match=f"n <= {MAX_N}"):
+            vertex_tableaux((1,) * (MAX_N + 1))
+
+    def test_f_vector_size_bound(self):
+        with pytest.raises(ValueError, match=f"n <= {F_VECTOR_MAX_N}"):
+            f_vector((1,) * (F_VECTOR_MAX_N + 1))
 
 
 class TestFVector:
@@ -162,6 +166,12 @@ class TestFVector:
             assert sum((-1) ** d * c for d, c in enumerate(fv)) == 1
             assert len(fv) - 1 == comb(n, 2)
             assert fv[-1] == 1
+
+    def test_vertex_counts_above_the_vertex_bound(self):
+        # f_vector reaches past MAX_N: f_0 is 2*3^(n-2) for two ones, n! for all ones
+        for n in range(MAX_N + 1, MAX_N + 4):
+            assert f_vector((1, 1) + (0,) * (n - 2))[0] == catalan_polytope_vertices(n)
+            assert f_vector((1,) * n)[0] == factorial(n)
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(0, 2), min_size=1, max_size=4))

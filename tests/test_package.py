@@ -85,11 +85,9 @@ VERIFY_ROUTES = [
 ]
 
 
-# Standard-library modules a query loads only when it needs them: `fractions`
-# (with `decimal`) for a Gamma product, `csv` for --format csv, `json` to read
-# or print JSON.
-ON_DEMAND = {"fractions", "decimal", "csv", "json"}
-GAMMA = {"fractions", "decimal"}
+# Standard-library modules a query loads only when it needs them: `csv` for
+# --format csv, `json` to read or print JSON.
+ON_DEMAND = {"csv", "json"}
 
 # (argv, the engine modules it runs, the ON_DEMAND modules it loads)
 QUERY_ROUTES = [
@@ -106,9 +104,9 @@ QUERY_ROUTES = [
     (("vertices", "--netflow", "1,1,0", "--enumerate", "--format", "csv"),
      {"cli", "faces"}, {"csv", "json"}),
     (("volume", *MORRIS_4, "--method", "closed"), GRAPH_ROUTE | {"closedform"},
-     GAMMA | {"json"}),
+     {"json"}),
     (("volume", "--graph", "tesler:4,1,1", "--netflow", "1,1,1,-3", "--method", "closed",
-      "--format", "csv"), GRAPH_ROUTE | {"closedform"}, GAMMA | {"csv", "json"}),
+      "--format", "csv"), GRAPH_ROUTE | {"closedform"}, {"csv", "json"}),
     (("fvector", "--netflow", "1,1,0", "--format", "json"), {"cli", "faces"}, {"json"}),
     (("vertices", "--netflow", "1,1,0", "--count-only"), {"cli", "faces"}, set()),
     (("verify", "--suite", "cry", "--max-n", "3", "--format", "csv"),
@@ -117,7 +115,8 @@ QUERY_ROUTES = [
 
 
 def assert_on_demand(new, loaded):
-    assert not new & {"dataclasses", "inspect"}
+    # the closed forms are exact ints, so no query needs `fractions`
+    assert not new & {"dataclasses", "inspect", "fractions", "decimal"}
     assert new & ON_DEMAND == loaded
 
 
@@ -143,8 +142,7 @@ class TestImportSurface:
         result = probe("verify", "--suite", suite, "--max-n", str(max_n))
         assert result["code"] == 0
         assert set(result["executed"]) == {"cli", "verify"} | engines
-        assert_on_demand(set(result["new"]),
-                         GAMMA if suite in {"thm2", "thm3", "morris"} else set())
+        assert_on_demand(set(result["new"]), set())
 
     def test_importing_the_package_runs_no_engine(self):
         result = probe()
