@@ -2,9 +2,12 @@
 
 Subcommands: volume, points, vertices, fvector, ct, verify.  Graphs are
 given as `complete:<n+1>`, `morris:<n+1>,<a>,<b>,<m>`, `tesler:<n+1>,<a>,<b>`
-or `file:<path>` (JSON per the core interchange format).  JSON output is
-deterministic: keys sorted, big integers as decimal strings.  Exit codes:
-0 success, 1 invalid input, 2 verification or agreement failure.
+or `file:<path>` (JSON per the core interchange format).  `volume` offers the
+`ct` and `closed` methods on complete with netflow (1,1,0,...,0,-2), n >= 2, or
+(1,0,...,0,-1), n >= 3; on morris with (1,0,...,0,-1) and a, b >= 1; and on
+tesler with (1,...,1,-n).  JSON output is deterministic: keys sorted, big
+integers as decimal strings.  Exit codes: 0 success, 1 invalid input, 2
+verification or agreement failure.
 """
 
 from __future__ import annotations
@@ -44,74 +47,58 @@ def _load_json(fh) -> object:
     return nodes[0]
 
 
-def _parse_graph(spec: str) -> tuple[str, tuple[int, ...], core.Multigraph]:
-    """Returns (kind, params, graph)."""
+def _parse_ints(raw: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in raw.split(","))
+    except ValueError:
+        raise CLIError(f"not a comma separated integer list: {raw!r}")
+
+
+def _parse_input(
+    spec: str, raw_netflow: str
+) -> tuple[core.Multigraph, tuple[int, ...], dict[str, Callable[[], int]]]:
+    """(graph, netflow, routes) of --graph and --netflow.  `routes` holds the
+    "ct" and "closed" volume routes of a pair that the module docstring names,
+    else nothing; each route runs only when its method is asked for."""
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise CLIError(f"graph spec needs a kind prefix: {spec!r}")
     if kind == "file":
         try:
             with open(rest) as fh:
-                data = _load_json(fh)
-            return "custom", (), core.Multigraph.from_json_dict(data)
+                G = core.Multigraph.from_json_dict(_load_json(fh))
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise CLIError(f"cannot read graph file {rest!r}: {exc}")
-    try:
-        params = tuple(int(tok) for tok in rest.split(","))
-    except ValueError:
-        raise CLIError(f"graph parameters must be integers: {rest!r}")
-    try:
-        if kind == "complete" and len(params) == 1:
-            return kind, params, core.complete_graph(params[0])
-        if kind == "morris" and len(params) == 4:
-            return kind, params, core.morris_graph(*params)
-        if kind == "tesler" and len(params) == 3:
-            return kind, params, core.tesler_graph(*params)
-    except ValueError as exc:
-        raise CLIError(str(exc))
-    raise CLIError(f"unrecognized graph spec: {spec!r}")
-
-
-def _parse_ints(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in raw.split(","))
-    except ValueError:
-        raise CLIError(f"netflow must be a comma separated integer list: {raw!r}")
-
-
-def _parse_netflow(raw: str, G: core.Multigraph) -> tuple[int, ...]:
-    vec = _parse_ints(raw)
-    if len(vec) != G.vertex_count:
-        raise CLIError(
-            f"netflow length {len(vec)} does not match vertex count {G.vertex_count}"
-        )
-    return vec
-
-
-def _special_form(
-    kind: str, params: tuple[int, ...], netflow: tuple[int, ...]
-) -> dict[str, Callable[[], int]]:
-    """The "ct" and "closed" routes when the (graph, netflow) pair matches one
-    of the families with a dedicated constant-term and closed-form route.
-    Each route runs only when its method is asked for."""
+        params = ()
+    else:
+        params = _parse_ints(rest)
+        build = {("complete", 1): core.complete_graph, ("morris", 4): core.morris_graph,
+                 ("tesler", 3): core.tesler_graph}.get((kind, len(params)))
+        if build is None:
+            raise CLIError(f"unrecognized graph spec: {spec!r}")
+        G = build(*params)
+    netflow = _parse_ints(raw_netflow)
+    if len(netflow) != G.vertex_count:
+        raise CLIError(f"netflow length {len(netflow)} does not match vertex count "
+                       f"{G.vertex_count}")
     n = len(netflow) - 1
-    if kind == "complete":
-        if n >= 2 and netflow == (1, 1) + (0,) * (n - 2) + (-2,):
-            return {"ct": lambda: ctengine.catalan_polytope_ct(n),
-                    "closed": lambda: closedform.catalan_polytope_volume(n)}
-        if n >= 3 and netflow == (1,) + (0,) * (n - 1) + (-1,):
-            return {"ct": lambda: ctengine.morris_ct(n - 2, 0, 2, 1),
-                    "closed": lambda: closedform.cry_product(n)}
-    if kind == "morris" and netflow == (1,) + (0,) * (n - 1) + (-1,):
-        _, a, b, m = params
-        if a >= 1:
-            return {"ct": lambda: ctengine.morris_ct(n - 1, a - 1, b, m),
-                    "closed": lambda: closedform.morris_polytope_volume(n, a, b, m)}
+    cry = netflow == (1,) + (0,) * (n - 1) + (-1,)
+    if kind == "complete" and n >= 2 and netflow == (1, 1) + (0,) * (n - 2) + (-2,):
+        return G, netflow, {"ct": lambda: ctengine.catalan_polytope_ct(n),
+                            "closed": lambda: closedform.catalan_polytope_volume(n)}
+    if kind == "complete" and n >= 3 and cry:
+        return G, netflow, {"ct": lambda: ctengine.morris_ct(n - 2, 0, 2, 1),
+                            "closed": lambda: closedform.cry_product(n)}
+    if kind == "morris" and cry and min(params[1:3]) >= 1:
+        _, a, b, m = params  # with no edge out of 1 or into n+1 the polytope is empty
+        return G, netflow, {
+            "ct": lambda: ctengine.morris_ct(n - 1, a - 1, b, m),
+            "closed": lambda: closedform.morris_polytope_volume(n, a, b, m)}
     if kind == "tesler" and netflow == (1,) * n + (-n,):
         _, a, b = params
-        return {"ct": lambda: ctengine.tesler_ct(n, a, b),
-                "closed": lambda: closedform.tesler_family_volume(n, a, b)}
-    return {}
+        return G, netflow, {"ct": lambda: ctengine.tesler_ct(n, a, b),
+                            "closed": lambda: closedform.tesler_family_volume(n, a, b)}
+    return G, netflow, {}
 
 
 def _emit(payload: dict[str, object], fmt: str, out) -> None:
@@ -140,7 +127,7 @@ def _run_methods(
 ) -> int:
     """Evaluate each requested method, report agreement, emit the payload."""
     values: dict[str, int] = {}
-    for method in args.method:
+    for method in args.method or ["lidskii"]:
         fn = compute.get(method)
         if fn is None:
             raise CLIError(f"method {method!r} does not apply to this input")
@@ -156,19 +143,17 @@ def _run_methods(
 
 
 def _cmd_volume(args, out) -> int:
-    kind, params, G = _parse_graph(args.graph)
-    netflow = _parse_netflow(args.netflow, G)
+    G, netflow, routes = _parse_input(args.graph, args.netflow)
     compute: dict[str, Callable[[], int]] = {
         "lidskii": lambda: lidskii.lidskii_volume(G, netflow),
         "ehrhart": lambda: lidskii.ehrhart_polynomial(G, netflow).normalized_volume,
-        **_special_form(kind, params, netflow),
+        **routes,
     }
     return _run_methods(args, compute, "volume", out)
 
 
 def _cmd_points(args, out) -> int:
-    _, _, G = _parse_graph(args.graph)
-    netflow = _parse_netflow(args.netflow, G)
+    G, netflow, _ = _parse_input(args.graph, args.netflow)
     compute = {
         "lidskii": lambda: lidskii.lidskii_points(G, netflow),
         "ehrhart": lambda: lidskii.ehrhart_polynomial(G, netflow)(1),
@@ -317,8 +302,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "method", "skip") is None:
-            args.method = ["lidskii"]
         return args.fn(args, sys.stdout)
     except (CLIError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,8 +9,9 @@ import tracemalloc
 import pytest
 
 from flowcat import closedform, verify
-from flowcat.cli import main
+from flowcat.cli import _parse_input, main
 from flowcat.faces import F_VECTOR_MAX_N, MAX_N
+from flowcat.lidskii import lidskii_volume
 
 
 def run(capsys, *argv):
@@ -473,3 +474,46 @@ class TestParsing:
             capsys, "volume", "--graph", "complete:3", "--netflow", "1,x,-1",
         )
         assert code == 1
+
+
+def family_inputs():
+    """(--graph, --netflow) of every family spec with small parameters, each
+    with the distinct two-ones, CRY and all-ones netflows of its vertex count."""
+    specs = [f"morris:{v},{a},{b},{m}" for v in range(3, 6) for a in range(3)
+             for b in range(3) for m in range(3)]
+    specs += [f"tesler:{v},{a},{b}" for v in range(3, 6) for a in range(3) for b in range(3)]
+    specs += [f"complete:{v}" for v in range(2, 8)]
+    for spec in specs:
+        n = int(spec.partition(":")[2].split(",")[0]) - 1
+        prefixes = {((1, 1) + (0,) * n)[:n], ((1,) + (0,) * n)[:n], (1,) * n}
+        for prefix in sorted(prefixes):
+            yield spec, ",".join(map(str, prefix + (-sum(prefix),)))
+
+
+class TestFamilyRoutes:
+    def test_every_route_is_the_lidskii_volume_or_raises(self):
+        offered, wrong = 0, []
+        for spec, netflow in family_inputs():
+            G, flow, routes = _parse_input(spec, netflow)
+            expected = lidskii_volume(G, flow)
+            for method, route in routes.items():
+                offered += 1
+                try:
+                    value = route()
+                except (ValueError, ArithmeticError):
+                    continue
+                if value != expected:
+                    wrong.append((spec, netflow, method, value, expected))
+        assert wrong == []
+        # ct and closed on 9 complete, 36 morris (a, b >= 1) and 27 tesler pairs
+        assert offered == 2 * (9 + 36 + 27)
+
+    def test_morris_without_edges_into_the_sink_has_no_ct(self, capsys):
+        # the polytope is empty, yet the Morris constant term is 1
+        code, out, err = run(
+            capsys,
+            "volume", "--graph", "morris:3,1,0,2", "--netflow", "1,0,-1", "--method", "ct",
+        )
+        assert code == 1
+        assert out == ""
+        assert "method 'ct' does not apply to this input" in err
