@@ -17,8 +17,7 @@ _EXPORTS = {
     name: module
     for module, names in {
         "closedform": "catalan catalan_polytope_volume cry_product morris_closed "
-                      "morris_polytope_volume syt_staircase tesler_family_volume "
-                      "tesler_unit_volume",
+                      "syt_staircase tesler_family_volume tesler_unit_volume",
         "compositions": "binomial weak_compositions",
         "core": "Multigraph complete_graph degree_offsets kostant morris_graph "
                 "tesler_graph",

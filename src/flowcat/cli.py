@@ -4,10 +4,10 @@ Subcommands: volume, points, vertices, fvector, ct, verify.  Graphs are
 given as `complete:<n+1>`, `morris:<n+1>,<a>,<b>,<m>`, `tesler:<n+1>,<a>,<b>`
 or `file:<path>` (JSON per the core interchange format).  `volume` offers the
 `ct` and `closed` methods on complete with netflow (1,1,0,...,0,-2), n >= 2, or
-(1,0,...,0,-1), n >= 3; on morris with (1,0,...,0,-1) and a, b >= 1; and on
-tesler with (1,...,1,-n).  JSON output is deterministic: keys sorted, big
-integers as decimal strings.  Exit codes: 0 success, 1 invalid input, 2
-verification or agreement failure.
+(1,0,...,0,-1), n >= 3; on morris with (1,0,...,0,-1), n >= 2 and a, b >= 1,
+`closed` only for m >= 1; and on tesler with (1,...,1,-n), n >= 2 and b >= 1.
+JSON output is deterministic: keys sorted, big integers as decimal strings.
+Exit codes: 0 success, 1 invalid input, 2 verification or agreement failure.
 """
 
 from __future__ import annotations
@@ -89,13 +89,15 @@ def _parse_input(
     if kind == "complete" and n >= 3 and cry:
         return G, netflow, {"ct": lambda: ctengine.morris_ct(n - 2, 0, 2, 1),
                             "closed": lambda: closedform.cry_product(n)}
-    if kind == "morris" and cry and min(params[1:3]) >= 1:
+    if kind == "morris" and n >= 2 and cry and min(params[1:3]) >= 1:
         _, a, b, m = params  # with no edge out of 1 or into n+1 the polytope is empty
-        return G, netflow, {
-            "ct": lambda: ctengine.morris_ct(n - 1, a - 1, b, m),
-            "closed": lambda: closedform.morris_polytope_volume(n, a, b, m)}
-    if kind == "tesler" and netflow == (1,) * n + (-n,):
-        _, a, b = params
+        args = (n - 1, a - 1, b, m)  # the Morris identity's parameters
+        routes = {"ct": lambda: ctengine.morris_ct(*args)}
+        if m >= 1:  # at m = 0 its Gamma product has G(m/2) = G(0)
+            routes["closed"] = lambda: closedform.morris_closed(*args)
+        return G, netflow, routes
+    if kind == "tesler" and n >= 2 and params[2] >= 1 and netflow == (1,) * n + (-n,):
+        _, a, b = params  # with no edge into n+1 the polytope is empty
         return G, netflow, {"ct": lambda: ctengine.tesler_ct(n, a, b),
                             "closed": lambda: closedform.tesler_family_volume(n, a, b)}
     return G, netflow, {}

@@ -1,6 +1,7 @@
 """Exact closed-form product evaluations: Catalan products, the Morris
-identity right-hand side, and the Gamma-product volume formulas for the
-three polytope families.
+identity right-hand side, and the Gamma-product volume formulas of the
+Catalan and Tesler families.  The a,b,m family with netflow (1,0,...,0,-1)
+on K_{n+1} has volume morris_closed(n - 1, a - 1, b, m).
 
 Every formula is an integer.  A Gamma product at half-integer arguments is
 evaluated exactly as a quotient of integers, with its sqrt(pi) factors counted
@@ -82,23 +83,6 @@ def catalan_polytope_volume(n: int) -> int:
     if n < 2:
         raise ValueError("n must be at least 2")
     return 2 ** (comb(n, 2) - 1) * cry_product(n)
-
-
-def morris_polytope_volume(n: int, a: int, b: int, m: int) -> int:
-    """Gamma-product volume of the a,b,m multigraph family with netflow
-    (1, 0, ..., 0, -1):
-
-    (1/(n-1)!) prod_{j=0}^{n-2} G(a-1+b+(n-2+j)m/2) G(m/2)
-               / (G(a+jm/2) G(b+jm/2) G(m/2+jm/2)).
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    return _gamma_product(
-        1,
-        [2 * (a - 1 + b) + (n - 2 + j) * m for j in range(n - 1)] + [m] * (n - 1),
-        [x for j in range(n - 1) for x in (2 * a + j * m, 2 * b + j * m, m + j * m)]
-        + [2 * n],  # G(n) = (n-1)!
-    )
 
 
 def tesler_family_volume(n: int, a: int, b: int) -> int:

@@ -61,7 +61,7 @@ def suite_morris_polytopes(max_n: int = 4) -> Iterator[CheckResult]:
         vol = lidskii.lidskii_volume(core.morris_graph(n + 1, a, b, m),
                                      (1,) + (0,) * (n - 1) + (-1,))
         yield CheckResult(f"n={n} a={a} b={b} m={m}",
-                          closedform.morris_polytope_volume(n, a, b, m), vol)
+                          closedform.morris_closed(n - 1, a - 1, b, m), vol)
 
 
 def suite_tesler_polytopes(max_n: int = 3) -> Iterator[CheckResult]:

@@ -479,9 +479,9 @@ class TestParsing:
 def family_inputs():
     """(--graph, --netflow) of every family spec with small parameters, each
     with the distinct two-ones, CRY and all-ones netflows of its vertex count."""
-    specs = [f"morris:{v},{a},{b},{m}" for v in range(3, 6) for a in range(3)
+    specs = [f"morris:{v},{a},{b},{m}" for v in range(2, 6) for a in range(3)
              for b in range(3) for m in range(3)]
-    specs += [f"tesler:{v},{a},{b}" for v in range(3, 6) for a in range(3) for b in range(3)]
+    specs += [f"tesler:{v},{a},{b}" for v in range(2, 6) for a in range(3) for b in range(3)]
     specs += [f"complete:{v}" for v in range(2, 8)]
     for spec in specs:
         n = int(spec.partition(":")[2].split(",")[0]) - 1
@@ -491,22 +491,20 @@ def family_inputs():
 
 
 class TestFamilyRoutes:
-    def test_every_route_is_the_lidskii_volume_or_raises(self):
+    def test_every_offered_route_is_the_lidskii_volume(self):
         offered, wrong = 0, []
         for spec, netflow in family_inputs():
             G, flow, routes = _parse_input(spec, netflow)
             expected = lidskii_volume(G, flow)
             for method, route in routes.items():
                 offered += 1
-                try:
-                    value = route()
-                except (ValueError, ArithmeticError):
-                    continue
+                value = route()
                 if value != expected:
                     wrong.append((spec, netflow, method, value, expected))
         assert wrong == []
-        # ct and closed on 9 complete, 36 morris (a, b >= 1) and 27 tesler pairs
-        assert offered == 2 * (9 + 36 + 27)
+        # ct and closed on 9 complete pairs; morris n >= 2, a, b >= 1: 36 ct and
+        # 24 closed (m >= 1); ct and closed on 18 tesler pairs (n >= 2, b >= 1)
+        assert offered == 2 * 9 + 36 + 24 + 2 * 18
 
     def test_morris_without_edges_into_the_sink_has_no_ct(self, capsys):
         # the polytope is empty, yet the Morris constant term is 1
@@ -517,3 +515,26 @@ class TestFamilyRoutes:
         assert code == 1
         assert out == ""
         assert "method 'ct' does not apply to this input" in err
+
+    def test_morris_at_m_zero_has_ct(self, capsys):
+        code, out, _ = run(
+            capsys, "volume", "--graph", "morris:4,1,1,0", "--netflow", "1,0,0,-1",
+            "--method", "lidskii", "--method", "ct",
+        )
+        assert code == 0
+        assert json.loads(out)["volume"] == "1"
+
+    @pytest.mark.parametrize("graph, netflow, methods", [
+        ("morris:4,1,1,0", "1,0,0,-1", ("lidskii", "closed")),  # Gamma(m/2) = Gamma(0)
+        ("tesler:4,1,0", "1,1,1,-3", ("ct",)),  # no edge into the sink
+        ("morris:2,1,1,1", "1,-1", ("ct",)),  # n = 1
+    ])
+    def test_route_outside_its_identity_is_not_offered(self, capsys, graph, netflow,
+                                                       methods):
+        argv = ["volume", "--graph", graph, "--netflow", netflow]
+        for method in methods:
+            argv += ["--method", method]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"method {methods[-1]!r} does not apply to this input" in err

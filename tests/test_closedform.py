@@ -10,7 +10,6 @@ from flowcat.closedform import (
     catalan_polytope_volume,
     cry_product,
     morris_closed,
-    morris_polytope_volume,
     syt_staircase,
     tesler_family_volume,
     tesler_unit_volume,
@@ -93,7 +92,7 @@ class TestMorrisClosed:
         for n in (2, 3):
             for m in (1, 2, 3):
                 for value in (morris_closed(n, 1, 1, m),
-                              morris_polytope_volume(n, 1, 1, m),
+                              morris_closed(n - 1, 0, 1, m),
                               tesler_family_volume(n, m, 1)):
                     assert type(value) is int
 
@@ -116,7 +115,7 @@ class TestVolumeFormulas:
 
     def test_morris_volume_unit_parameters_give_cry(self):
         for n in range(2, 7):
-            assert morris_polytope_volume(n, 1, 1, 1) == cry_product(n)
+            assert morris_closed(n - 1, 0, 1, 1) == cry_product(n)
 
     def test_tesler_volume_unit_case(self):
         for n in (2, 3, 4):
