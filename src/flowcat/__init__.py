@@ -22,7 +22,7 @@ _EXPORTS = {
         "core": "Multigraph complete_graph degree_offsets kostant morris_graph "
                 "tesler_graph",
         "ctengine": "CTIntegrand catalan_polytope_ct constant_term morris_ct "
-                    "reduction_identity_sides tesler_ct verify_reduction_bijection",
+                    "reduction_identity tesler_ct",
         "faces": "catalan_polytope_vertices f_vector tableau_dimension "
                  "tableau_to_forest vertex_count_formula vertex_tableaux",
         "lidskii": "EhrhartPolynomial NotFullDimensionalError ehrhart_polynomial "

@@ -249,7 +249,9 @@ def build_parser() -> _Parser:
 
     def add_graph_flags(p: _Parser) -> None:
         p.add_argument("--graph", required=True)
-        p.add_argument("--netflow", required=True)
+        p.add_argument("--netflow", required=True,
+                       help="comma separated integers, one per vertex; write "
+                            "--netflow=-1,0,1 when the first one is negative")
         p.add_argument("--format", choices=("json", "text", "csv"), default="json")
 
     p = sub.add_parser("volume", help="normalized volume of a flow polytope")

@@ -22,21 +22,21 @@ expanded: it is the sweep's budget p, shared by those variables
 The matrix section enumerates those staircase matrices explicitly, as
 tuples of row tuples (a row sum is `sum(row)`, a hook sum `_hook_sum`).
 `staircase_matrices` builds the rows whose hook sums are pinned, and
-`verify_reduction_bijection` checks the drop-two-rows bijection behind
-`reduction_identity_sides` on them, on indices into the cropped family Y:
-each square matrix of either side is a Y member plus one row, so each side
-is one pass over Y per image index.  Y, and the identity's right-hand CT,
-depend only on the head of the vector, so both are memoized per head; the
-left-hand CT is memoized per head and unordered last pair.
+`_bijection_failures` checks the drop-two-rows bijection behind
+`reduction_identity` on them, on indices into the cropped family Y: each
+square matrix of either side is a Y member plus one row, so each side is one
+pass over Y per image index.  Y, and the identity's right-hand CT, depend
+only on the head of the vector, so `reduction_identity` takes one head and
+its pairs, and computes both once per call; the left-hand CT once per
+unordered last pair.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
-from functools import lru_cache
 from math import comb
 from operator import index
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .compositions import weak_compositions
 from .core import Multigraph, _flow_sweep
@@ -173,8 +173,11 @@ def tesler_ct(n: int, a: int, b: int) -> int:
     return _power_ct(f, range(1, n + 1), power)
 
 
-def reduction_identity_sides(n: int, a_vec: Sequence[int]) -> tuple[int, int]:
-    """Both sides of the pair-symmetrized CT reduction identity.
+def reduction_identity(
+    n: int, head: Sequence[int], pairs: Iterable[Sequence[int]]
+) -> Iterator[tuple[tuple[int, ...], int, int, tuple[str, ...]]]:
+    """Both sides of the pair-symmetrized CT reduction identity, and the
+    bijection behind it, for each a_vec = head + pair.
 
     lhs = CT over n variables of
           (x_{n-1}+x_n)^{C(n,2)-a} (x_{n-1}^{a_{n-1}} x_n^{a_n}
@@ -182,43 +185,31 @@ def reduction_identity_sides(n: int, a_vec: Sequence[int]) -> tuple[int, int]:
           / prod_{i<j} (x_j - x_i),
     rhs = 2^{C(n,2)-a} * CT over n-2 variables of
           prod x_i^{a_i} (1-x_i)^{-2} / prod_{i<j} (x_j - x_i),
-    where a = sum(a_vec).  For C(n,2) - a < 0 both sides are the empty
-    binomial sum and are returned as 0.
+    where a = sum(a_vec).  Yields (a_vec, lhs, rhs, failures) for each pair,
+    in order, with R = C(n,2) - a >= 0 (below 0 both sides are the empty
+    binomial sum); failures is empty when the bijection holds.  The
+    right-hand CT and Y's index tables depend only on the head, so they are
+    computed once per call; the left-hand CT once per unordered pair.
     """
-    a_vec = tuple(map(index, a_vec))
-    if len(a_vec) != n:
-        raise ValueError("a_vec must have length n")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    R = comb(n, 2) - sum(a_vec)
-    if R < 0:
-        return 0, 0
-
-    head = a_vec[: n - 2]
-    lhs = _reduction_lhs_ct(head, tuple(sorted(a_vec[n - 2:])))
-    return lhs, (2**R) * _reduction_rhs_ct(head)
-
-
-@lru_cache(maxsize=128)
-def _reduction_lhs_ct(head: tuple[int, ...], pair: tuple[int, int]) -> int:
-    """The left-hand CT of `reduction_identity_sides` for a_vec = head + pair;
-    memoized with the pair sorted, since both of its orders give the same
-    integrand."""
-    n = len(head) + 2
-    f = CTIntegrand(n, ((1, head + pair), (1, head + pair[::-1])),
-                    vandermonde_power=1)
-    return _power_ct(f, (n - 1, n), comb(n, 2) - sum(head) - sum(pair))
-
-
-@lru_cache(maxsize=128)
-def _reduction_rhs_ct(head: tuple[int, ...]) -> int:
-    """CT over k = len(head) variables of prod x_i^{a_i} (1-x_i)^{-2}
-    / prod_{i<j} (x_j - x_i); memoized, since many vectors share a head."""
-    k = len(head)
-    if k == 0:
-        return 1
-    return constant_term(CTIntegrand(k, ((1, head),), one_minus_pole=(2,) * k,
-                                     vandermonde_power=1))
+    n, head = index(n), tuple(map(index, head))
+    if not 2 <= n <= 5 or len(head) != n - 2:
+        raise ValueError("enumeration supported for 2 <= n <= 5, with a head of length n - 2")
+    k = n - 2
+    rhs_ct = constant_term(CTIntegrand(k, ((1, head),), one_minus_pole=(2,) * k,
+                                       vandermonde_power=1)) if k else 1
+    tables = _cropped_family(tuple(-x for x in head))
+    lhs_cts: dict[tuple[int, int], int] = {}
+    for first, last in pairs:
+        first, last = index(first), index(last)
+        R = comb(n, 2) - sum(head) - first - last
+        if R < 0:
+            continue
+        key = (min(first, last), max(first, last))
+        if key not in lhs_cts:
+            f = CTIntegrand(n, ((1, head + key), (1, head + key[::-1])), vandermonde_power=1)
+            lhs_cts[key] = _power_ct(f, (n - 1, n), R)
+        yield (head + (first, last), lhs_cts[key], 2**R * rhs_ct,
+               _bijection_failures(*tables, R, first, last))
 
 
 # --- explicit matrix enumeration and the reduction bijection -----------------
@@ -258,16 +249,15 @@ def staircase_matrices(
     return rec(())
 
 
-@lru_cache(maxsize=128)
 def _cropped_family(
-    head: tuple[int, ...]
+    targets: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int | None, ...]]:
-    """Per member of the cropped family Y = staircase_matrices(n, head),
-    n = len(head) + 2: its column n-1 sum down to the diagonal, and the Y
+    """Per member of the cropped family Y = staircase_matrices(n, targets),
+    n = len(targets) + 2: its column n-1 sum down to the diagonal, and the Y
     index of its crop on each side (X: the member; X': its column-swapped
-    crop, None if not in Y).  Memoized, since many vectors share a head."""
-    n = len(head) + 2
-    Y = list(staircase_matrices(n, head))
+    crop, None if not in Y)."""
+    n = len(targets) + 2
+    Y = list(staircase_matrices(n, targets))
     pos = {C: i for i, C in enumerate(Y)}
     diag = tuple(n - 2 + sum(row[n - 2] for row in C) for C in Y)
     own = tuple(pos[C] for C in Y)
@@ -275,37 +265,31 @@ def _cropped_family(
     return diag, own, swapped
 
 
-def verify_reduction_bijection(n: int, a_vec: Sequence[int]) -> tuple[str, ...]:
-    """Machine-check the bijection behind the CT reduction identity.
+def _bijection_failures(
+    diag: Sequence[int], own: Sequence[int], swapped: Sequence[int | None],
+    R: int, first: int, last: int,
+) -> tuple[str, ...]:
+    """Machine-check the bijection behind the CT reduction identity for
+    a_vec = head + (first, last), on the index tables of the head's cropped
+    family Y (`_cropped_family`).
 
-    Works on indices into the cropped family Y (`_cropped_family`, once per
-    head).  For each window t in 0..R, R = C(n,2) - a, the square-matrix
-    family X (X') is member i of Y plus a row n-1 whose one free entry,
-    d_i - a_{n-1} - t (d_i - a_n - t), is >= 0, where d_i is member i's
-    column n-1 sum.  The drop-two-rows map sends it to (its crop, t) on X
-    and (its column-swapped crop, R - t) on X'; the check is that these
-    images, keyed by the int j(R+1) + t, cover Y x {0..R} once each, on the
-    side that d_i - a_{n-1} - t >= 0 selects.  Returns the first 10
-    failures, so the bijection holds when the result is empty.
+    For each window t in 0..R, R = C(n,2) - a, the square-matrix family X
+    (X') is member i of Y plus a row n-1 whose one free entry, d_i - first
+    - t (d_i - last - t), is >= 0, where d_i is member i's column n-1 sum.
+    The drop-two-rows map sends it to (its crop, t) on X and (its
+    column-swapped crop, R - t) on X'; the check is that these images,
+    keyed by the int j(R+1) + t, cover Y x {0..R} once each, on the side
+    that d_i - first - t >= 0 selects.  Returns the first 10 failures, so
+    the bijection holds when the result is empty.
 
     Checks left out, as they cannot fail: h_{n-1} of the square rows is the
     free entry minus d_i, so the image index is always t on X and R - t on
     X', both in 0..R; the X crop is the member itself (`own`), never None;
-    and the X' threshold d_i + 1 - a_{n-1} - t <= 0 negates the X one.
+    and the X' threshold d_i + 1 - first - t <= 0 negates the X one.
     """
-    a_vec = tuple(map(index, a_vec))
-    if len(a_vec) != n:
-        raise ValueError("a_vec must have length n")
-    if n < 2 or n > 5:
-        raise ValueError("enumeration supported for 2 <= n <= 5")
-    R = comb(n, 2) - sum(a_vec)
-    if R < 0:
-        return ()
-    diag, own, swapped = _cropped_family(tuple(-x for x in a_vec[: n - 2]))
-
     failures: list[str] = []
     images: dict[int, str] = {}
-    for tag, anchor, crop in (("X", a_vec[n - 2], own), ("X'", a_vec[n - 1], swapped)):
+    for tag, anchor, crop in (("X", first, own), ("X'", last, swapped)):
         for t_window in range(R + 1):
             t = t_window if tag == "X" else R - t_window
             for i, d in enumerate(diag):
@@ -329,7 +313,7 @@ def verify_reduction_bijection(n: int, a_vec: Sequence[int]) -> tuple[str, ...]:
             got = images.get(j * (R + 1) + t)
             if got is None:
                 failures.append(f"no preimage for index {t}")
-            elif (got == "X") != (d - a_vec[n - 2] - t >= 0):
+            elif (got == "X") != (d - first - t >= 0):
                 failures.append(f"preimage side mismatch at t={t}")
 
     return tuple(failures[:10])

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import comb
 from operator import index
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -91,14 +90,13 @@ def suite_reduction_identity(max_n: int = 5) -> Iterator[CheckResult]:
     on the first `next()`, before any work is done."""
     if max_n > 5:
         raise ValueError("the reduction bijection is enumerated for max_n <= 5 only")
+    entries = (-1, 0, 1, 2)
     for n in range(2, max_n + 1):
-        for a_vec in product((-1, 0, 1, 2), repeat=n):
-            if comb(n, 2) - sum(a_vec) < 0:
-                continue
-            lhs, rhs = ctengine.reduction_identity_sides(n, a_vec)
-            yield CheckResult(f"n={n} a={a_vec} sides", lhs, rhs)
-            failures = ctengine.verify_reduction_bijection(n, a_vec)
-            yield CheckResult(f"n={n} a={a_vec} bijection", True, not failures)
+        for head in product(entries, repeat=n - 2):  # a_vec in product order
+            for a_vec, lhs, rhs, failures in ctengine.reduction_identity(
+                    n, head, product(entries, repeat=2)):
+                yield CheckResult(f"n={n} a={a_vec} sides", lhs, rhs)
+                yield CheckResult(f"n={n} a={a_vec} bijection", True, not failures)
 
 
 # --- series-vs-matrix expansion check ---------------------------------------

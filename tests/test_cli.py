@@ -405,7 +405,7 @@ class TestVerify:
         def work(*args):
             raise AssertionError("the suite started before checking --max-n")
 
-        monkeypatch.setattr("flowcat.ctengine.reduction_identity_sides", work)
+        monkeypatch.setattr("flowcat.ctengine.reduction_identity", work)
         code, _, err = run(capsys, "verify", "--suite", "lemma-gen", "--max-n", "6")
         assert code == 1
         assert "max_n <= 5" in err
@@ -474,6 +474,20 @@ class TestParsing:
             capsys, "volume", "--graph", "complete:3", "--netflow", "1,x,-1",
         )
         assert code == 1
+
+    def test_netflow_with_a_negative_first_entry(self, capsys):
+        # argparse reads "-1,0,1" after a space as an option; the = form,
+        # which the help of --netflow names, passes it as the value
+        query = ("points", "--graph", "complete:3", "--method", "kostant")
+        code, _, err = run(capsys, *query, "--netflow", "-1,0,1")
+        assert code == 1
+        assert "--netflow: expected one argument" in err
+        code, out, _ = run(capsys, *query, "--netflow=-1,0,1")
+        assert code == 0
+        assert json.loads(out)["points"] == "0"
+        with pytest.raises(SystemExit):
+            main(["points", "--help"])
+        assert "--netflow=-1,0,1" in "".join(capsys.readouterr().out.split())
 
 
 def family_inputs():

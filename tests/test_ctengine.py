@@ -16,15 +16,12 @@ from flowcat.ctengine import (
     _cropped_family,
     _hook_sum,
     _power_ct,
-    _reduction_lhs_ct,
-    _reduction_rhs_ct,
     catalan_polytope_ct,
     constant_term,
     morris_ct,
-    reduction_identity_sides,
+    reduction_identity,
     staircase_matrices,
     tesler_ct,
-    verify_reduction_bijection,
 )
 from flowcat.expansion import _series_histogram
 from flowcat.verify import suite_reduction_identity
@@ -230,14 +227,39 @@ class TestStaircaseEnumeration:
             assert tuple(_hook_sum(A, k) for k in range(1, len(A) + 1)) == targets
 
 
+ENTRIES = (-1, 0, 1, 2)
+PAIRS = tuple(product(ENTRIES, repeat=2))
+
+
 def lemma_gen_vectors(n: int) -> list[tuple[int, ...]]:
     """The vectors of length n that the lemma-gen suite checks."""
-    return [a for a in product((-1, 0, 1, 2), repeat=n) if comb(n, 2) - sum(a) >= 0]
+    return [a for a in product(ENTRIES, repeat=n) if comb(n, 2) - sum(a) >= 0]
+
+
+def lemma_gen_identities(ns=range(2, 6)):
+    """(n, a_vec, lhs, rhs, failures) of every lemma-gen vector with n in ns,
+    one `reduction_identity` call per head, as the suite makes them."""
+    for n in ns:
+        for head in product(ENTRIES, repeat=n - 2):
+            for a_vec, lhs, rhs, failures in reduction_identity(n, head, PAIRS):
+                yield n, a_vec, lhs, rhs, failures
+
+
+def bijection_failures(vectors) -> dict:
+    """The bijection failures of each (n, a_vec), one `reduction_identity`
+    call per (n, head) over that head's pairs."""
+    by_head = defaultdict(list)
+    for n, a_vec in vectors:
+        by_head[n, a_vec[: n - 2]].append(a_vec[n - 2:])
+    return {(n, a_vec): failures
+            for (n, head), pairs in by_head.items()
+            for a_vec, _, _, failures in reduction_identity(n, head, pairs)}
 
 
 def reference_bijection(n: int, a_vec: tuple[int, ...]) -> tuple[str, ...]:
-    """Reference for `verify_reduction_bijection`: the oracle on row tuples,
-    rebuilding each square matrix and hashing (cropped rows, t) per image."""
+    """Reference for the bijection failures of `reduction_identity`: the
+    oracle on row tuples, rebuilding each square matrix and hashing (cropped
+    rows, t) per image."""
     R = comb(n, 2) - sum(a_vec)
     if R < 0:
         return ()
@@ -297,40 +319,24 @@ DIFFERENTIAL_VECTORS = [(n, a) for n in (2, 3, 4) for a in lemma_gen_vectors(n)]
 ]
 
 
-@pytest.fixture
-def patch_ctengine(monkeypatch):
-    """Sets an attribute of flowcat.ctengine for one test, clearing the
-    oracle's per-head memos after the patch and after its undo, so no
-    value cached from the real Y or sweep is served to the patched code or
-    back to later tests."""
-    def clear():
-        for memo in (_cropped_family, _reduction_lhs_ct, _reduction_rhs_ct):
-            memo.cache_clear()
-
-    def patch(name, value):
-        monkeypatch.setattr(flowcat.ctengine, name, value)
-        clear()
-
-    yield patch
-    monkeypatch.undo()
-    clear()
-
-
 class TestReductionIdentity:
     def test_sides_small(self):
-        assert reduction_identity_sides(2, (0, 0)) == (2, 2)
-        lhs, rhs = reduction_identity_sides(3, (1, 1, 1))
-        assert lhs == rhs
-        lhs, rhs = reduction_identity_sides(4, (0, 1, 0, 2))
-        assert lhs == rhs
+        assert list(reduction_identity(2, (), [(0, 0)])) == [((0, 0), 2, 2, ())]
+        for n, head, pair in ((3, (1,), (1, 1)), (4, (0, 1), (0, 2))):
+            [(a_vec, lhs, rhs, failures)] = reduction_identity(n, head, [pair])
+            assert a_vec == head + pair and lhs == rhs and failures == ()
 
     def test_negative_exponent_gives_zero(self):
-        assert reduction_identity_sides(2, (2, 2)) == (0, 0)
+        """With C(n,2) - a < 0 both sides are the empty binomial sum, 0, and
+        the pair is skipped; the other pairs of the head still come, in
+        order."""
+        got = [a_vec for a_vec, *_ in reduction_identity(2, (), [(2, 2), (0, 1), (1, 2)])]
+        assert got == [(0, 1)]
 
     def test_bijection_reports(self):
-        assert verify_reduction_bijection(3, (1, 0, 1)) == ()
+        assert [r[3] for r in reduction_identity(3, (1,), [(0, 1)])] == [()]
 
-    def test_bijection_check_can_fail(self, patch_ctengine):
+    def test_bijection_check_can_fail(self, monkeypatch):
         """Every failure message the oracle has, each under a named edit of Y
         or of its crops that makes it fire on some lemma-gen vector."""
         enumerate_rows = flowcat.ctengine.staircase_matrices
@@ -341,8 +347,8 @@ class TestReductionIdentity:
                 return cut(Y, len(Y) // 2)
             return edited
 
-        def no_column_swap(head):
-            diag, own, _ = _cropped_family(head)
+        def no_column_swap(targets):
+            diag, own, _ = _cropped_family(targets)
             return diag, own, own
 
         # edit: (patched name, replacement, messages that must fire)
@@ -359,13 +365,11 @@ class TestReductionIdentity:
             "no column swap": ("_cropped_family", no_column_swap,
                                ("preimage side mismatch",)),
         }
-        vectors = [(n, a) for n in range(2, 6) for a in lemma_gen_vectors(n)]
-        assert not any(verify_reduction_bijection(n, a) for n, a in vectors)
+        assert not any(r[4] for r in lemma_gen_identities())
         for edit, (name, replacement, messages) in table.items():
-            original = getattr(flowcat.ctengine, name)
-            patch_ctengine(name, replacement)
-            fired = {f for n, a in vectors for f in verify_reduction_bijection(n, a)}
-            patch_ctengine(name, original)
+            with monkeypatch.context() as patch:
+                patch.setattr(flowcat.ctengine, name, replacement)
+                fired = {f for r in lemma_gen_identities() for f in r[4]}
             for message in messages:
                 assert any(f.startswith(message) for f in fired), (edit, message)
 
@@ -386,7 +390,7 @@ class TestReductionIdentity:
                          for C, d in zip(Y, diag) if h + d >= 0]
                 assert sorted(built) == sorted(staircase_matrices(n, head + (h,)))
 
-    def test_bijection_enumerates_y_once(self, patch_ctengine):
+    def test_bijection_enumerates_y_once(self, monkeypatch):
         enumerate_rows = flowcat.ctengine.staircase_matrices
         calls = []
 
@@ -394,23 +398,21 @@ class TestReductionIdentity:
             calls.append(targets)
             return enumerate_rows(cols, targets)
 
-        patch_ctengine("staircase_matrices", counted)
-        # each with R > 0 and a nonempty Y
+        monkeypatch.setattr(flowcat.ctengine, "staircase_matrices", counted)
+        # each pair with R > 0 and a nonempty Y, then the same pair swapped
         for n, a_vec in ((2, (0, 0)), (3, (-1, 0, 1)), (4, (-1, 0, 0, 2)),
                          (5, (0, -1, 0, 1, 2))):
             assert comb(n, 2) - sum(a_vec) > 0
-            _cropped_family.cache_clear()
+            head, pair = a_vec[: n - 2], a_vec[n - 2:]
             calls.clear()
-            assert verify_reduction_bijection(n, a_vec) == ()
-            assert len(calls) == 1
-            # a second vector with the same head reuses the memoized Y
-            swapped = a_vec[: n - 2] + (a_vec[-1], a_vec[-2])
-            assert verify_reduction_bijection(n, swapped) == ()
-            assert len(calls) == 1
+            got = list(reduction_identity(n, head, [pair, pair[::-1]]))
+            assert [r[0] for r in got] == [a_vec, head + pair[::-1]]
+            assert all(r[3] == () for r in got)
+            assert calls == [tuple(-x for x in head)]
 
     @pytest.mark.parametrize("edit", ["none", "drop first", "drop middle",
                                       "duplicate middle"])
-    def test_bijection_matches_reference(self, patch_ctengine, edit):
+    def test_bijection_matches_reference(self, monkeypatch, edit):
         enumerate_rows = flowcat.ctengine.staircase_matrices
 
         def edited(cols, targets):
@@ -419,15 +421,17 @@ class TestReductionIdentity:
             return {"none": Y, "drop first": Y[1:], "drop middle": Y[:k] + Y[k + 1:],
                     "duplicate middle": Y[: k + 1] + Y[k:]}[edit]
 
-        patch_ctengine("staircase_matrices", edited)
+        monkeypatch.setattr(flowcat.ctengine, "staircase_matrices", edited)
+        got = bijection_failures(DIFFERENTIAL_VECTORS)
+        assert len(got) == len(DIFFERENTIAL_VECTORS)
         failing = 0
         for n, a_vec in DIFFERENTIAL_VECTORS:
             expected = reference_bijection(n, a_vec)
-            assert verify_reduction_bijection(n, a_vec) == expected, (n, a_vec)
+            assert got[n, a_vec] == expected, (n, a_vec)
             failing += bool(expected)
         assert (failing == 0) == (edit == "none")
 
-    def test_lemma_gen_sweeps_once_per_head(self, patch_ctengine):
+    def test_lemma_gen_sweeps_once_per_head(self, monkeypatch):
         counts = {"staircase_matrices": 0, "_flow_sweep": 0}
 
         def counted(name):
@@ -439,7 +443,7 @@ class TestReductionIdentity:
             return wrapper
 
         for name in counts:
-            patch_ctengine(name, counted(name))
+            monkeypatch.setattr(flowcat.ctengine, name, counted(name))
         results = list(suite_reduction_identity())
         assert len(results) == 2678 and all(r.ok for r in results)
         # Y once for each of the 85 (n, head) pairs; 835 distinct left-hand
@@ -448,25 +452,29 @@ class TestReductionIdentity:
         assert counts == {"staircase_matrices": 85, "_flow_sweep": 835 + 84}
 
     def test_memos_match_fresh_constant_terms(self):
-        for n in range(2, 5):
-            for a_vec in lemma_gen_vectors(n):
-                head, pair = a_vec[: n - 2], a_vec[n - 2:]
-                R = comb(n, 2) - sum(a_vec)
-                for order in (pair, pair[::-1]):
-                    f = CTIntegrand(n, ((1, head + order), (1, head + order[::-1])),
-                                    vandermonde_power=1)
-                    assert _reduction_lhs_ct(head, tuple(sorted(order))) == (
-                        _power_ct(f, (n - 1, n), R))
-        for k in range(3):
-            for head in product((-1, 0, 1, 2), repeat=k):
-                fresh = constant_term(CTIntegrand(
-                    k, ((1, head),), one_minus_pole=(2,) * k, vandermonde_power=1,
-                )) if k else 1
-                assert _reduction_rhs_ct(head) == fresh
+        """Each yielded side equals a fresh CT of its own integrand, for both
+        orders of every pair, so no CT computed for one pair or one head is
+        served to another."""
+        seen = 0
+        for n, a_vec, lhs, rhs, _ in lemma_gen_identities(range(2, 5)):
+            head, pair = a_vec[: n - 2], a_vec[n - 2:]
+            R = comb(n, 2) - sum(a_vec)
+            f = CTIntegrand(n, ((1, a_vec), (1, head + pair[::-1])), vandermonde_power=1)
+            assert lhs == _power_ct(f, (n - 1, n), R)
+            k = n - 2
+            fresh = constant_term(CTIntegrand(
+                k, ((1, head),), one_minus_pole=(2,) * k, vandermonde_power=1,
+            )) if k else 1
+            assert rhs == 2**R * fresh
+            seen += 1
+        assert seen == sum(len(lemma_gen_vectors(n)) for n in range(2, 5))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 4), st.data())
     def test_bijection_random_vectors(self, n, data):
-        a_vec = tuple(data.draw(st.integers(-1, 2)) for _ in range(n))
-        failures = verify_reduction_bijection(n, a_vec)
-        assert not failures, failures
+        head = tuple(data.draw(st.integers(-1, 2)) for _ in range(n - 2))
+        pair = (data.draw(st.integers(-1, 2)), data.draw(st.integers(-1, 2)))
+        for a_vec, lhs, rhs, failures in reduction_identity(n, head, [pair]):
+            assert a_vec == head + pair
+            assert lhs == rhs
+            assert not failures, failures

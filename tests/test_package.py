@@ -16,12 +16,7 @@ import pytest
 import flowcat
 from flowcat import cli, faces, verify
 from flowcat.core import Multigraph, complete_graph, kostant
-from flowcat.ctengine import (
-    CTIntegrand,
-    reduction_identity_sides,
-    staircase_matrices,
-    verify_reduction_bijection,
-)
+from flowcat.ctengine import CTIntegrand, reduction_identity, staircase_matrices
 from flowcat.lidskii import EhrhartPolynomial, ehrhart_polynomial, lidskii_points
 from flowcat.verify import CheckResult, vertices_by_acyclic_support
 
@@ -239,8 +234,7 @@ FLOAT_INPUTS = {
     "kostant sum 0.9": lambda: kostant(complete_graph(3), (1.9, 0, -1)),
     "lidskii_points": lambda: lidskii_points(complete_graph(3), (2.7, 0, -2.7)),
     "ehrhart_polynomial": lambda: ehrhart_polynomial(complete_graph(3), (1.2, 0, -1.2)),
-    "reduction_identity_sides": lambda: reduction_identity_sides(2, (0.9, 0.2)),
-    "verify_reduction_bijection": lambda: verify_reduction_bijection(2, (0.9, 0.2)),
+    "reduction_identity": lambda: next(reduction_identity(3, (0.9,), [(0, 0)])),
     "staircase_matrices": lambda: staircase_matrices(3, (0.5,)),
     "vertices_by_acyclic_support": lambda: vertices_by_acyclic_support((1.5, 0)),
     "multigraph multiplicity": lambda: Multigraph(3, ((1, 2, 1.5), (2, 3))),
