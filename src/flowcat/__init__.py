@@ -18,15 +18,15 @@ _EXPORTS = {
     for module, names in {
         "closedform": "catalan catalan_polytope_volume cry_product morris_closed "
                       "syt_staircase tesler_family_volume tesler_unit_volume",
-        "compositions": "binomial weak_compositions",
+        "compositions": "weak_compositions",
         "core": "Multigraph complete_graph degree_offsets kostant morris_graph "
                 "tesler_graph",
         "ctengine": "CTIntegrand catalan_polytope_ct constant_term morris_ct "
                     "reduction_identity tesler_ct",
         "faces": "catalan_polytope_vertices f_vector tableau_dimension "
                  "tableau_to_forest vertex_count_formula vertex_tableaux",
-        "lidskii": "EhrhartPolynomial NotFullDimensionalError ehrhart_polynomial "
-                   "lidskii_points lidskii_volume ps_volume",
+        "lidskii": "EhrhartPolynomial NotFullDimensionalError binomial "
+                   "ehrhart_polynomial lidskii_points lidskii_volume ps_volume",
     }.items()
     for name in names.split()
 }

@@ -1,11 +1,7 @@
-"""Weak compositions and exact binomial helpers.
-
-Everything here is plain integer arithmetic; no floats anywhere.
-"""
+"""Weak compositions: the free entries of a staircase-matrix row in `flowcat.ctengine`."""
 
 from __future__ import annotations
 
-from math import comb, factorial
 from typing import Iterator
 
 
@@ -28,31 +24,3 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
                 yield rest + (last,)
 
     return gen(total, parts)
-
-
-def binomial(x: int, k: int) -> int:
-    """Generalized binomial coefficient binom(x, k) for any integer x, k >= 0.
-
-    Falling-factorial definition, so negative tops are fine:
-    binom(-1, 2) == 1.
-    """
-    if k < 0:
-        return 0
-    if x >= 0:
-        return comb(x, k)
-    num = 1
-    for i in range(k):
-        num *= x - i
-    return num // factorial(k)
-
-
-def compositions_weight(value: int, slots: int) -> int:
-    """Number of ways to write `value` as an ordered sum of `slots` >= 0 parts.
-
-    Zero slots admit only value 0.
-    """
-    if value < 0:
-        return 0
-    if slots == 0:
-        return 1 if value == 0 else 0
-    return comb(value + slots - 1, slots - 1)

@@ -21,10 +21,9 @@ states carry the numerator and whose budget is a power numerator
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
+from math import comb
 from operator import index
 from typing import Callable, Sequence
-
-from .compositions import compositions_weight
 
 
 class Multigraph(namedtuple("Multigraph", "vertex_count edges")):
@@ -62,12 +61,6 @@ class Multigraph(namedtuple("Multigraph", "vertex_count edges")):
     def edge_count(self) -> int:
         """Total number of edges N, counted with multiplicity."""
         return sum(m for _, _, m in self.edges)
-
-    def out_degree(self, v: int) -> int:
-        return sum(m for i, _, m in self.edges if i == v)
-
-    def in_degree(self, v: int) -> int:
-        return sum(m for _, j, m in self.edges if j == v)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Multigraph":
@@ -109,9 +102,11 @@ def degree_offsets(G: Multigraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(t, d) with t_i = outdeg(i) - 1 over the first n vertices and
     d_i = indeg(i) - 1 over all vertices, multiplicity weighted."""
     n1 = G.vertex_count
-    t = tuple(G.out_degree(i) - 1 for i in range(1, n1))
-    d = tuple(G.in_degree(i) - 1 for i in range(1, n1 + 1))
-    return t, d
+    out, into = [-1] * (n1 + 1), [-1] * (n1 + 1)
+    for i, j, m in G.edges:
+        out[i] += m
+        into[j] += m
+    return tuple(out[1:n1]), tuple(into[1:])
 
 
 def kostant(G: Multigraph, b: Sequence[int]) -> int:
@@ -150,7 +145,8 @@ def _flow_sweep(
     the pending inflow of the vertices not yet visited, which starts as
     their netflow.  A vertex's supply (its pending inflow) is pushed over
     its out-edges one edge at a time; flow f on an edge of multiplicity m
-    has weight C(f+m-1, m-1), and the last out-edge takes whatever supply
+    (>= 1, as a Multigraph keeps no edge of multiplicity 0) has weight
+    C(f+m-1, m-1), and the last out-edge takes whatever supply
     is left.  States whose budget the remaining vertices cannot absorb are
     dropped.
     """
@@ -187,7 +183,7 @@ def _flow_sweep(
             stage = {k[:1] + k[2:]: c for k, c in stage.items() if k[1] == 0}
         for pos, (slot, m) in enumerate(edges):
             top = max((k[1] for k in stage), default=0)
-            ways = [compositions_weight(f, m) for f in range(top + 1)]
+            ways = [comb(f + m - 1, m - 1) for f in range(top + 1)]
             nxt: dict[tuple[int, ...], int] = defaultdict(int)
             for k, cnt in stage.items():
                 rem, s = k[0], k[1]

@@ -15,9 +15,11 @@ so the constant term is a sum of Kostant partition function values, one per
 numerator monomial.  It runs through the package's one flow sweep
 (`flowcat.core._flow_sweep`), once per integrand, with the numerator's
 monomials as its start states.  A power numerator (x_{i1}+...+x_{ik})^p,
-as in the Catalan, Tesler and reduction-identity integrands, is not
-expanded: it is the sweep's budget p, shared by those variables
-(`_power_ct`).
+as in the Tesler and reduction-identity integrands, is not expanded: it is
+the sweep's budget p, shared by those variables (`_power_ct`).  So
+`tesler_ct` makes the same sweep as `lidskii_volume` on its netflow, while
+`catalan_polytope_ct` takes the reduction identity at a = 0 to a Morris CT,
+as the paper's proof of Theorem 1 does, and is an independent route.
 
 The matrix section enumerates those staircase matrices explicitly, as
 tuples of row tuples (a row sum is `sum(row)`, a hook sum `_hook_sum`).
@@ -38,7 +40,8 @@ from math import comb
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
-from .compositions import weak_compositions
+# Lazily registered by the package: only the matrix section runs it.
+from . import compositions
 from .core import Multigraph, _flow_sweep
 
 
@@ -137,12 +140,15 @@ def catalan_polytope_ct(n: int) -> int:
     """CT of (x_{n-1} + x_n)^{C(n,2)} / prod_{i<j} (x_j - x_i).
 
     Equals the normalized volume of the flow polytope of K_{n+1} with
-    netflow (1, 1, 0, ..., 0, -2).
+    netflow (1, 1, 0, ..., 0, -2).  At a = 0 the reduction identity
+    (`reduction_identity`) reads 2 CT = 2^{C(n,2)} morris_ct(n-2, 0, 2, 1)
+    for n >= 3, so the CT is computed as 2^{C(n,2)-1} times that Morris CT:
+    a sweep of n - 1 vertices with no budget, not the power CT's budgeted
+    sweep, which is the one `lidskii_volume` makes on the same netflow.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    f = CTIntegrand(n, ((1, (0,) * n),), vandermonde_power=1)
-    return _power_ct(f, (n - 1, n), comb(n, 2))
+    return 2 ** (comb(n, 2) - 1) * morris_ct(n - 2, 0, 2, 1) if n > 2 else 1
 
 
 def morris_ct(n: int, a: int, b: int, m: int) -> int:
@@ -243,7 +249,7 @@ def staircase_matrices(
         supply = targets[i] + i + sum(row[i] for row in rows)
         if supply < 0:
             return
-        for free in weak_compositions(supply, cols - i - 1):
+        for free in compositions.weak_compositions(supply, cols - i - 1):
             yield from rec(rows + ((0,) * i + (i,) + free,))
 
     return rec(())

@@ -4,10 +4,11 @@ a degree box, by truncated Laurent series and by explicit matrix tuples."""
 from __future__ import annotations
 
 from itertools import product
+from math import comb
 from typing import Sequence
 
 # Lazily registered by the package, as this module is.
-from . import compositions, ctengine
+from . import ctengine
 
 
 def _box_product(
@@ -58,7 +59,7 @@ def _series_histogram(
     """
     n = f.n_vars
     factors = [
-        {tuple(r * (v == i) for v in range(n)): compositions.compositions_weight(r, b)
+        {tuple(r * (v == i) for v in range(n)): comb(r + b - 1, b - 1)
          for r in range(bound + 1)}
         for i, b in enumerate(f.one_minus_pole) if b > 0
     ]

@@ -3,7 +3,9 @@
 Implements the Baldoni-Vergne composition-indexed (Lidskii) expansions of the
 normalized volume and of the lattice-point count, the Postnikov-Stanley
 indegree specialization for netflow (1,0,...,0,-1), and the Ehrhart
-polynomial, decoded from the lattice-point sum at one large dilation.
+polynomial, decoded from the lattice-point sum at one large dilation.  The
+generalized `binomial`, whose top may be negative, weights the point-count
+sum and evaluates the Ehrhart polynomial at any integer t.
 
 A Lidskii sum is not evaluated term by term.  Its composition parts are
 chosen inside a single Kostant flow sweep (`flowcat.core._flow_sweep`): the
@@ -21,7 +23,6 @@ from math import comb
 from operator import index
 from typing import Callable, NamedTuple, Sequence
 
-from .compositions import binomial
 from .core import Multigraph, _flow_sweep, degree_offsets, kostant
 
 
@@ -145,6 +146,13 @@ def ps_volume(G: Multigraph) -> int:
     middle = d[1 : n - 1]
     vec = (0,) + middle + (-sum(middle),)
     return kostant(G, vec)
+
+
+def binomial(x: int, k: int) -> int:
+    """Generalized binomial coefficient binom(x, k) for any integer x, k >= 0:
+    the falling factorial x(x-1)...(x-k+1) over k!, so negative tops are
+    fine, binom(-1, 2) == 1 (by binom(x, k) = (-1)^k binom(k-x-1, k))."""
+    return comb(x, k) if x >= 0 else (-1) ** k * comb(k - x - 1, k)
 
 
 class EhrhartPolynomial(NamedTuple):

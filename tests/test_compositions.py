@@ -3,11 +3,8 @@ from math import comb
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowcat.compositions import (
-    binomial,
-    compositions_weight,
-    weak_compositions,
-)
+from flowcat.compositions import weak_compositions
+from flowcat.lidskii import binomial
 
 
 @given(st.integers(0, 8), st.integers(1, 5))
@@ -34,10 +31,3 @@ def test_generalized_binomial():
 @given(st.integers(-6, 6), st.integers(0, 6))
 def test_binomial_pascal(x, k):
     assert binomial(x, k) + binomial(x, k + 1) == binomial(x + 1, k + 1)
-
-
-def test_compositions_weight():
-    assert compositions_weight(0, 0) == 1
-    assert compositions_weight(2, 0) == 0
-    assert compositions_weight(4, 1) == 1
-    assert compositions_weight(3, 2) == 4

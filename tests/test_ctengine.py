@@ -146,6 +146,28 @@ class TestNamedIntegrands:
     def test_catalan_polytope_values(self):
         assert [catalan_polytope_ct(n) for n in (2, 3, 4, 5)] == [1, 4, 64, 5120]
 
+    def test_catalan_reduction_is_the_power_ct(self):
+        """The reduction to a Morris CT against the direct power CT, with
+        (x_{n-1} + x_n)^{C(n,2)} as the sweep's budget."""
+        for n in range(2, 9):
+            f = CTIntegrand(n, ((1, (0,) * n),), vandermonde_power=1)
+            assert catalan_polytope_ct(n) == _power_ct(f, (n - 1, n), comb(n, 2))
+
+    def test_catalan_ct_is_not_the_lidskii_sweep(self, monkeypatch):
+        """The power CT is the budgeted sweep that `lidskii_volume` makes on
+        the Catalan netflow; the reduction makes only sweeps with no budget."""
+        budgets, sweep = [], flowcat.ctengine._flow_sweep
+
+        def spy(G, start, budget=0, *args):
+            budgets.append(budget)
+            return sweep(G, start, budget, *args)
+
+        monkeypatch.setattr(flowcat.ctengine, "_flow_sweep", spy)
+        for n in range(3, 9):
+            budgets.clear()
+            catalan_polytope_ct(n)
+            assert budgets and set(budgets) == {0}
+
     def test_morris_small_values(self):
         # n = 1 cases reduce to a one-variable binomial coefficient
         assert morris_ct(1, 2, 3, 1) == 6

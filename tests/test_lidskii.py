@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcat.closedform import catalan_polytope_volume, cry_product
-from flowcat.compositions import binomial, weak_compositions
+from flowcat.compositions import weak_compositions
 from flowcat.core import (
     Multigraph,
     complete_graph,
@@ -19,6 +19,7 @@ from flowcat.lidskii import (
     EhrhartPolynomial,
     NotFullDimensionalError,
     _drop_dead_ends,
+    binomial,
     ehrhart_polynomial,
     lidskii_points,
     lidskii_volume,

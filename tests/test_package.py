@@ -42,7 +42,7 @@ print(json.dumps({"code": code, "executed": executed, "new": new}))
 """
 
 SRC = os.path.dirname(os.path.dirname(flowcat.__file__))
-GRAPH_ROUTE = {"cli", "compositions", "core"}
+GRAPH_ROUTE = {"cli", "core"}
 
 
 def probe(*argv):
@@ -65,8 +65,8 @@ CATALAN_5 = ("--graph", "complete:5", "--netflow", "1,1,0,0,-2")
 MORRIS_4 = ("--graph", "morris:4,1,1,1", "--netflow", "1,0,0,-1")
 
 # (suite, --max-n small enough to be quick, the engine modules it runs)
-LIDSKII_ROUTE = {"compositions", "core", "lidskii"}
-CT_ROUTE = {"compositions", "core", "ctengine"}
+LIDSKII_ROUTE = {"core", "lidskii"}
+CT_ROUTE = {"core", "ctengine"}
 VERIFY_ROUTES = [
     ("thm1", 2, LIDSKII_ROUTE | {"ctengine", "closedform"}),
     ("cry", 3, LIDSKII_ROUTE | {"closedform"}),
