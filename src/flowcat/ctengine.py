@@ -180,10 +180,11 @@ def tesler_ct(n: int, a: int, b: int) -> int:
 
 
 def reduction_identity(
-    n: int, head: Sequence[int], pairs: Iterable[Sequence[int]]
+    head: Sequence[int], pairs: Iterable[Sequence[int]]
 ) -> Iterator[tuple[tuple[int, ...], int, int, tuple[str, ...]]]:
     """Both sides of the pair-symmetrized CT reduction identity, and the
-    bijection behind it, for each a_vec = head + pair.
+    bijection behind it, for each a_vec = head + pair, of length
+    n = len(head) + 2.
 
     lhs = CT over n variables of
           (x_{n-1}+x_n)^{C(n,2)-a} (x_{n-1}^{a_{n-1}} x_n^{a_n}
@@ -195,12 +196,14 @@ def reduction_identity(
     in order, with R = C(n,2) - a >= 0 (below 0 both sides are the empty
     binomial sum); failures is empty when the bijection holds.  The
     right-hand CT and Y's index tables depend only on the head, so they are
-    computed once per call; the left-hand CT once per unordered pair.
+    computed once per call; the left-hand CT once per unordered pair.  A
+    head longer than 3 (n > 5) raises on the first `next()`, before any work.
     """
-    n, head = index(n), tuple(map(index, head))
-    if not 2 <= n <= 5 or len(head) != n - 2:
-        raise ValueError("enumeration supported for 2 <= n <= 5, with a head of length n - 2")
-    k = n - 2
+    head = tuple(map(index, head))
+    k = len(head)
+    if k > 3:
+        raise ValueError("enumeration supported for n <= 5, a head of length at most 3")
+    n = k + 2
     rhs_ct = constant_term(CTIntegrand(k, ((1, head),), one_minus_pole=(2,) * k,
                                        vandermonde_power=1)) if k else 1
     tables = _cropped_family(tuple(-x for x in head))

@@ -3,9 +3,9 @@
 Implements the Baldoni-Vergne composition-indexed (Lidskii) expansions of the
 normalized volume and of the lattice-point count, the Postnikov-Stanley
 indegree specialization for netflow (1,0,...,0,-1), and the Ehrhart
-polynomial, decoded from the lattice-point sum at one large dilation.  The
-generalized `binomial`, whose top may be negative, weights the point-count
-sum and evaluates the Ehrhart polynomial at any integer t.
+polynomial, decoded from two lattice-point sums, at max(d, 1) and at one
+large dilation B.  The generalized `binomial`, whose top may be negative,
+evaluates the Ehrhart polynomial at any integer t.
 
 A Lidskii sum is not evaluated term by term.  Its composition parts are
 chosen inside a single Kostant flow sweep (`flowcat.core._flow_sweep`): the
@@ -64,14 +64,15 @@ def lidskii_points(G: Multigraph, netflow: Sequence[int]) -> int:
     """Lattice-point count of F_G(netflow) as a binomial-weighted sum.
 
     points = sum over i |= N-n of prod binom(a_k + t_k, i_k) * K_{G'}(i - t),
-    after dead ends are dropped (see `_lidskii_sweep`).  Then every t_k >= 0,
-    so the binomial vanishes for i_k > a_k + t_k.  Equals K_G(netflow)
-    exactly; the two routes are compared in the tests.
+    after dead ends are dropped (see `_lidskii_sweep`).  Then every vertex
+    before the sink has an out-edge, so t_k >= 0 and a_k + t_k >= 0, and the
+    binomial vanishes for i_k > a_k + t_k.  Equals K_G(netflow) exactly; the
+    two routes are compared in the tests.
     """
     return _lidskii_sweep(
         G, netflow,
         cap=lambda ak, tk, budget: ak + tk,
-        weight=lambda ak, tk, rem, i: binomial(ak + tk, i),
+        weight=lambda ak, tk, rem, i: comb(ak + tk, i),
     )
 
 

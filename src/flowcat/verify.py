@@ -9,8 +9,7 @@ work.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import product
+from itertools import chain, combinations, product
 from operator import index
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -94,7 +93,7 @@ def suite_reduction_identity(max_n: int = 5) -> Iterator[CheckResult]:
     for n in range(2, max_n + 1):
         for head in product(entries, repeat=n - 2):  # a_vec in product order
             for a_vec, lhs, rhs, failures in ctengine.reduction_identity(
-                    n, head, product(entries, repeat=2)):
+                    head, product(entries, repeat=2)):
                 yield CheckResult(f"n={n} a={a_vec} sides", lhs, rhs)
                 yield CheckResult(f"n={n} a={a_vec} bijection", True, not failures)
 
@@ -136,78 +135,67 @@ def suite_series_expansion(max_n: int = 3) -> Iterator[CheckResult]:
 # --- vertex counts ----------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _forest_peelings(n1: int) -> tuple[bytes, ...]:
-    """The leaf peeling of every forest on vertices 1..n1, one byte per step
-    (leaf, other end, leaf is the tail), both ends 0-based, coded as
-    (leaf * n1 + other) * 2 + tail; codes stay below 98 for n1 <= 7.  A
-    subset of the edges (i, j), i < j, is peeled by removing, in edge order
-    and pass after pass, each edge with a degree-1 end (its tail if both);
-    it is a forest exactly when no edge is left.  The order depends only on
-    the edges."""
+def vertices_by_acyclic_support(prefixes: Sequence[Sequence[int]]) -> list[int]:
+    """Vertices of F_{K_{n+1}}(a') for each prefix a of one length n,
+    counted independently of tableaux: flows whose support is a forest,
+    found by solving the unique flow on every acyclic edge subset and keeping
+    the strictly positive ones.  One pass over the subsets of the edges
+    (i, j), i < j, serves every prefix: a subset with fewer than n+1 edges is
+    peeled once, removing in edge order and pass after pass each edge with a
+    degree-1 end (its tail if both), and it is a forest exactly when no edge
+    is left.  Each prefix's netflow is then replayed along that peeling: the
+    leaf's whole residual crosses its one edge, the replay stops at a flow
+    <= 0, and the forest counts when every residual ends at 0.  Returns the
+    counts in input order.  There are 82,160 such subsets at n = 6, and
+    1,683,218 at n = 7, so n > 6 is rejected before any work."""
+    netflows = [a + (-sum(a),) for a in (tuple(map(index, a)) for a in prefixes)]
+    if len({len(netflow) for netflow in netflows}) > 1:
+        raise ValueError("the prefixes must all have the same length")
+    n1 = len(netflows[0]) if netflows else 1
+    if n1 > 7:
+        raise ValueError("acyclic supports are enumerated for n <= 6 only")
     edges = [(i, j) for i in range(n1) for j in range(i + 1, n1)]
-    out = []
-    for mask in range(1 << len(edges)):
-        if mask.bit_count() >= n1:  # a forest on n1 vertices has fewer than n1 edges
-            continue
-        live = [e for k, e in enumerate(edges) if mask >> k & 1]
+    counts = [0] * len(netflows)
+    for subset in chain.from_iterable(combinations(edges, k) for k in range(n1)):
+        live = list(subset)
         degree = [0] * n1
         for i, j in live:
             degree[i] += 1
             degree[j] += 1
-        steps = bytearray()
+        steps = []  # (leaf, other end, leaf is the tail)
         peeling = True
         while live and peeling:
             peeling = False
             for e in list(live):
                 i, j = e
                 if degree[i] == 1 or degree[j] == 1:
-                    leaf, other, tail = (i, j, 1) if degree[i] == 1 else (j, i, 0)
-                    steps.append((leaf * n1 + other) * 2 + tail)
+                    steps.append((i, j, True) if degree[i] == 1 else (j, i, False))
                     degree[i] -= 1
                     degree[j] -= 1
                     live.remove(e)
                     peeling = True
-        if not live:
-            out.append(bytes(steps))
-    return tuple(out)
-
-
-def vertices_by_acyclic_support(a: Sequence[int]) -> int:
-    """Vertices of F_{K_{n+1}}(a') counted independently of tableaux: flows
-    whose support is a forest, found by solving the unique flow on every
-    acyclic edge subset and keeping the strictly positive ones.  Each
-    forest's leaf peeling (`_forest_peelings`) is replayed on the netflow:
-    the leaf's whole residual crosses its one edge, and the replay stops at
-    a flow <= 0.  The forest counts when every residual ends at 0.  There
-    are 2^(n(n+1)/2) edge subsets, so n > 6 is rejected before any work."""
-    a = tuple(map(index, a))
-    if len(a) > 6:
-        raise ValueError("acyclic supports are enumerated for n <= 6 only")
-    netflow = a + (-sum(a),)
-    n1 = len(netflow)
-    decode = tuple((c // 2 // n1, c // 2 % n1, c % 2) for c in range(2 * n1 * n1))
-    count = 0
-    for steps in _forest_peelings(n1):
-        residual = list(netflow)
-        for code in steps:
-            leaf, other, tail = decode[code]
-            flow = residual[leaf] if tail else -residual[leaf]
-            if flow <= 0:  # not a vertex
-                break
-            residual[other] += residual[leaf]
-            residual[leaf] = 0
-        else:
-            count += not any(residual)
-    return count
+        if live:  # a cycle is left
+            continue
+        for k, netflow in enumerate(netflows):
+            residual = list(netflow)
+            for leaf, other, tail in steps:
+                flow = residual[leaf] if tail else -residual[leaf]
+                if flow <= 0:  # not a vertex
+                    break
+                residual[other] += residual[leaf]
+                residual[leaf] = 0
+            else:
+                counts[k] += not any(residual)
+    return counts
 
 
 def suite_faces(max_n: int = 6) -> Iterator[CheckResult]:
     """Vertex counts: tableau enumeration vs the 2^{r+1} 3^s formula for
     n = r+s+2 <= max_n, the 2 * 3^{n-2} corollary for n = 2..max_n, and the
-    acyclic-support enumeration for n <= min(max_n, 4), since its oracle
-    scans 2^(n(n+1)/2) edge masks.  A max_n outside 0..MAX_N raises on the
-    first `next()`, before any work."""
+    acyclic-support enumeration for n <= min(max_n, 4), one call per n,
+    since its oracle peels every edge subset of K_{n+1} with at most n
+    edges.  A max_n outside 0..MAX_N raises on the first `next()`, before
+    any work."""
     if not 0 <= max_n <= faces.MAX_N:
         raise ValueError(f"faces are computed for 0 <= max_n <= {faces.MAX_N} only")
     for r in range(max_n - 1):
@@ -220,9 +208,10 @@ def suite_faces(max_n: int = 6) -> Iterator[CheckResult]:
         yield CheckResult(f"n={n} two-ones corollary",
                           faces.catalan_polytope_vertices(n), len(faces.vertex_tableaux(a)))
     for n in range(1, min(max_n, 4) + 1):
-        for a in filter(any, product((0, 1, 2), repeat=n)):  # a != 0
+        prefixes = list(filter(any, product((0, 1, 2), repeat=n)))  # a != 0
+        for a, count in zip(prefixes, vertices_by_acyclic_support(prefixes)):
             yield CheckResult(f"a={a} tableaux vs acyclic supports",
-                              vertices_by_acyclic_support(a), len(faces.vertex_tableaux(a)))
+                              count, len(faces.vertex_tableaux(a)))
 
 
 def suite_lidskii_vs_ehrhart(max_n: int = 4) -> Iterator[CheckResult]:

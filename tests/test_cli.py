@@ -38,6 +38,17 @@ class TestVolume:
         assert payload["volume"] == "4"
         assert payload["agreement"] is True
 
+    def test_text_output(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "volume", "--graph", "complete:4", "--netflow", "1,1,0,-2",
+            "--method", "lidskii", "--method", "closed", "--format", "text",
+        )
+        assert code == 0
+        assert out == ('agreement: True\n'
+                       'methods: {"closed": "4", "lidskii": "4"}\n'
+                       'volume: 4\n')
+
     def test_default_method(self, capsys):
         code, out, _ = run(
             capsys,
@@ -307,6 +318,11 @@ class TestFvector:
                            "--format", "json")
         assert json.loads(out)["f_vector"] == ["2", "1"]
 
+    def test_csv_output(self, capsys):
+        code, out, _ = run(capsys, "fvector", "--netflow", "1,1,0", "--format", "csv")
+        assert code == 0
+        assert out == "dim0,dim1,dim2,dim3\n6,9,5,1\n"
+
     def test_rejects_n_above_face_bound(self, capsys):
         prefix = ",".join(["1", "1"] + ["0"] * (F_VECTOR_MAX_N - 1))
         code, out, err = run(capsys, "fvector", "--netflow", prefix)
@@ -328,6 +344,16 @@ class TestCt:
         code, out, _ = run(capsys, "ct", "--file", str(path))
         assert code == 0
         assert out.strip() == "6"
+
+    @pytest.mark.parametrize("fmt, expected", [("text", "1\n"),
+                                               ("json", '{"constant_term": "1"}\n')])
+    def test_stdin_input(self, capsys, monkeypatch, fmt, expected):
+        integrand = {"vars": 2, "numerator": [[1, [0, 0]]], "one_minus_pole": [1, 1],
+                     "vandermonde": 1}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(integrand)))
+        code, out, _ = run(capsys, "ct", "--file", "-", "--format", fmt)
+        assert code == 0
+        assert out == expected
 
     def test_non_integer_coefficient(self, capsys, tmp_path):
         path = tmp_path / "integrand.json"
@@ -394,6 +420,15 @@ class TestVerify:
         assert code == 1
         assert out == "cry,first,True,1,1\n"
         assert "second check out of range" in err
+
+    def test_text_reports_each_failure(self, capsys, monkeypatch):
+        def one_failure():
+            yield verify.CheckResult("n=2 wrong", 1, 2)
+
+        monkeypatch.setitem(verify.SUITES, "cry", one_failure)
+        code, out, _ = run(capsys, "verify", "--suite", "cry")
+        assert code == 2
+        assert out == "cry: 0/1 checks passed\n  FAIL n=2 wrong: expected 1, got 2\n"
 
     def test_unknown_suite_is_input_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nope")

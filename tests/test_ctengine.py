@@ -263,7 +263,7 @@ def lemma_gen_identities(ns=range(2, 6)):
     one `reduction_identity` call per head, as the suite makes them."""
     for n in ns:
         for head in product(ENTRIES, repeat=n - 2):
-            for a_vec, lhs, rhs, failures in reduction_identity(n, head, PAIRS):
+            for a_vec, lhs, rhs, failures in reduction_identity(head, PAIRS):
                 yield n, a_vec, lhs, rhs, failures
 
 
@@ -275,7 +275,7 @@ def bijection_failures(vectors) -> dict:
         by_head[n, a_vec[: n - 2]].append(a_vec[n - 2:])
     return {(n, a_vec): failures
             for (n, head), pairs in by_head.items()
-            for a_vec, _, _, failures in reduction_identity(n, head, pairs)}
+            for a_vec, _, _, failures in reduction_identity(head, pairs)}
 
 
 def reference_bijection(n: int, a_vec: tuple[int, ...]) -> tuple[str, ...]:
@@ -343,20 +343,32 @@ DIFFERENTIAL_VECTORS = [(n, a) for n in (2, 3, 4) for a in lemma_gen_vectors(n)]
 
 class TestReductionIdentity:
     def test_sides_small(self):
-        assert list(reduction_identity(2, (), [(0, 0)])) == [((0, 0), 2, 2, ())]
-        for n, head, pair in ((3, (1,), (1, 1)), (4, (0, 1), (0, 2))):
-            [(a_vec, lhs, rhs, failures)] = reduction_identity(n, head, [pair])
+        assert list(reduction_identity((), [(0, 0)])) == [((0, 0), 2, 2, ())]
+        for head, pair in (((1,), (1, 1)), ((0, 1), (0, 2))):
+            [(a_vec, lhs, rhs, failures)] = reduction_identity(head, [pair])
             assert a_vec == head + pair and lhs == rhs and failures == ()
+
+    def test_rejects_head_above_3_before_any_work(self, monkeypatch):
+        """n = len(head) + 2 is bounded by 5: a longer head raises on the
+        first `next()`, before any CT or enumeration."""
+        def work(*args):
+            raise AssertionError("the identity started before checking the head")
+
+        for name in ("constant_term", "_power_ct", "_cropped_family", "_bijection_failures"):
+            monkeypatch.setattr(flowcat.ctengine, name, work)
+        identities = reduction_identity((0, 0, 0, 0), [(0, 0)])
+        with pytest.raises(ValueError, match="n <= 5"):
+            next(identities)
 
     def test_negative_exponent_gives_zero(self):
         """With C(n,2) - a < 0 both sides are the empty binomial sum, 0, and
         the pair is skipped; the other pairs of the head still come, in
         order."""
-        got = [a_vec for a_vec, *_ in reduction_identity(2, (), [(2, 2), (0, 1), (1, 2)])]
+        got = [a_vec for a_vec, *_ in reduction_identity((), [(2, 2), (0, 1), (1, 2)])]
         assert got == [(0, 1)]
 
     def test_bijection_reports(self):
-        assert [r[3] for r in reduction_identity(3, (1,), [(0, 1)])] == [()]
+        assert [r[3] for r in reduction_identity((1,), [(0, 1)])] == [()]
 
     def test_bijection_check_can_fail(self, monkeypatch):
         """Every failure message the oracle has, each under a named edit of Y
@@ -427,7 +439,7 @@ class TestReductionIdentity:
             assert comb(n, 2) - sum(a_vec) > 0
             head, pair = a_vec[: n - 2], a_vec[n - 2:]
             calls.clear()
-            got = list(reduction_identity(n, head, [pair, pair[::-1]]))
+            got = list(reduction_identity(head, [pair, pair[::-1]]))
             assert [r[0] for r in got] == [a_vec, head + pair[::-1]]
             assert all(r[3] == () for r in got)
             assert calls == [tuple(-x for x in head)]
@@ -496,7 +508,7 @@ class TestReductionIdentity:
     def test_bijection_random_vectors(self, n, data):
         head = tuple(data.draw(st.integers(-1, 2)) for _ in range(n - 2))
         pair = (data.draw(st.integers(-1, 2)), data.draw(st.integers(-1, 2)))
-        for a_vec, lhs, rhs, failures in reduction_identity(n, head, [pair]):
+        for a_vec, lhs, rhs, failures in reduction_identity(head, [pair]):
             assert a_vec == head + pair
             assert lhs == rhs
             assert not failures, failures

@@ -256,9 +256,9 @@ def reference_acyclic_support_count(a):
     return count
 
 
-# every prefix in {0,1,2}^n with n <= 5: each replays the byte-coded forest
-# peelings of `_forest_peelings`, up to n1 = 6 vertices
-ACYCLIC_PREFIXES = [a for n in range(6) for a in product((0, 1, 2), repeat=n)]
+# every prefix in {0,1,2}^n with n <= 5, grouped by length: the oracle
+# shares each edge subset's peeling among the prefixes of one length
+ACYCLIC_PREFIXES = [list(product((0, 1, 2), repeat=n)) for n in range(6)]
 
 
 class TestVertexCounts:
@@ -276,19 +276,33 @@ class TestVertexCounts:
     @settings(max_examples=5, deadline=None)
     @given(st.lists(st.integers(0, 2), min_size=5, max_size=5))
     def test_acyclic_supports_at_n_5(self, a):
-        assert vertices_by_acyclic_support(a) == len(vertex_tableaux(a))
+        assert vertices_by_acyclic_support([a]) == [len(vertex_tableaux(a))]
 
     def test_acyclic_supports_match_the_reference(self):
-        for a in ACYCLIC_PREFIXES:
-            assert vertices_by_acyclic_support(a) == reference_acyclic_support_count(a), a
+        for prefixes in ACYCLIC_PREFIXES:
+            expected = [reference_acyclic_support_count(a) for a in prefixes]
+            assert vertices_by_acyclic_support(prefixes) == expected, len(prefixes[0])
+
+    def test_acyclic_supports_come_in_input_order(self):
+        prefixes = [(1, 1, 0), (0, 0, 0), (1, 0, 1), (1, 1, 0)]
+        assert vertices_by_acyclic_support(prefixes) == [6, 1, 4, 6]
+        assert vertices_by_acyclic_support([]) == []
 
     def test_acyclic_supports_reject_n_above_6_before_any_work(self, monkeypatch):
-        def work(n1):
+        def work(*args):
             raise AssertionError("the enumeration started before checking n")
 
-        monkeypatch.setattr(flowcat.verify, "_forest_peelings", work)
+        monkeypatch.setattr(flowcat.verify, "combinations", work)
         with pytest.raises(ValueError, match="n <= 6"):
-            vertices_by_acyclic_support((1,) * 7)
+            vertices_by_acyclic_support([(1,) * 7])
+
+    def test_acyclic_supports_reject_mixed_lengths(self, monkeypatch):
+        def work(*args):
+            raise AssertionError("the enumeration started before checking the lengths")
+
+        monkeypatch.setattr(flowcat.verify, "combinations", work)
+        with pytest.raises(ValueError, match="same length"):
+            vertices_by_acyclic_support([(1, 1), (1, 1, 0)])
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

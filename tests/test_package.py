@@ -234,9 +234,9 @@ FLOAT_INPUTS = {
     "kostant sum 0.9": lambda: kostant(complete_graph(3), (1.9, 0, -1)),
     "lidskii_points": lambda: lidskii_points(complete_graph(3), (2.7, 0, -2.7)),
     "ehrhart_polynomial": lambda: ehrhart_polynomial(complete_graph(3), (1.2, 0, -1.2)),
-    "reduction_identity": lambda: next(reduction_identity(3, (0.9,), [(0, 0)])),
+    "reduction_identity": lambda: next(reduction_identity((0.9,), [(0, 0)])),
     "staircase_matrices": lambda: staircase_matrices(3, (0.5,)),
-    "vertices_by_acyclic_support": lambda: vertices_by_acyclic_support((1.5, 0)),
+    "vertices_by_acyclic_support": lambda: vertices_by_acyclic_support([(1.5, 0)]),
     "multigraph multiplicity": lambda: Multigraph(3, ((1, 2, 1.5), (2, 3))),
     "multigraph vertex count": lambda: Multigraph(3.0, ((1, 2),)),
 }
