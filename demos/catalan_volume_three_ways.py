@@ -5,12 +5,14 @@ with netflow (1, 1, 0, ..., 0, -2).  Its normalized volume can be obtained
 
   1. as a weak-composition sum weighted by Kostant partition function values,
   2. as the constant term of (x_{n-1} + x_n)^{C(n,2)} over the Vandermonde,
+     evaluated through the paper's reduction to the CRY constant term,
+     2^{C(n,2)-1} * morris_ct(n-2, 0, 2, 1): a different sweep from route 1,
   3. from the closed product 2^{C(n,2)-1} Cat(1) Cat(2) ... Cat(n-2),
 
 and from the leading coefficient of the Ehrhart polynomial.  That polynomial
-is decoded from the lattice-point Lidskii sum on the same flow sweep as
-route 1, so its column checks the points formula against the volume
-formula.  Run this file directly to see all four agree.
+is decoded from two lattice-point Lidskii sums, so its column checks the
+points formula against the volume formula.  Run this file directly to see
+all four agree.
 """
 
 from flowcat import (

@@ -2,6 +2,7 @@ from collections import Counter
 from itertools import product
 from math import comb, factorial
 from operator import index
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,8 @@ import flowcat.verify
 from flowcat.faces import (
     F_VECTOR_MAX_N,
     MAX_N,
+    _checked_prefix,
+    _merge,
     catalan_polytope_vertices,
     f_vector,
     tableau_dimension,
@@ -146,6 +149,41 @@ class TestEnumeration:
             f_vector((1,) * (F_VECTOR_MAX_N + 1))
 
 
+# the column-mask DP, which holds up to 2^n states: f_vector's reference
+def reference_f_vector(a: Sequence[int]) -> list[int]:
+    """Face counts of F_{K_{n+1}}(a') indexed by dimension.
+
+    Rows are filled top to bottom.  Row i must be zero when a_i = 0 and
+    column i holds no 1, and nonzero otherwise; the three validity conditions
+    reduce to this rule.  So a state is the bitmask of the columns that hold
+    a 1, mapped to its counts by dimension.  A forced row is filled one cell
+    at a time, with a flag for "the row holds a 1": dimension = ones -
+    nonzero rows, so the row's first 1 adds 0 and every later 1 adds 1.
+    """
+    a = _checked_prefix(a, F_VECTOR_MAX_N)
+    n = len(a)
+    states: dict[int, list[int]] = {0: [1]}
+    for i in range(1, n + 1):
+        done: dict[int, list[int]] = {}
+        row: dict[tuple[int, bool], list[int]] = {}
+        for mask, counts in states.items():
+            if a[i - 1] > 0 or mask >> i & 1:
+                _merge(row, (mask & ~(1 << i), False), counts)
+            else:
+                _merge(done, mask, counts)
+        for j in range(i, n + 1):
+            bit = 1 << j if j > i else 0
+            filled = dict(row)
+            for (mask, placed), counts in row.items():
+                _merge(filled, (mask | bit, True), [0] + counts if placed else counts)
+            row = filled
+        for (mask, placed), counts in row.items():
+            if placed:
+                _merge(done, mask, counts)
+        states = done
+    return states[0]
+
+
 class TestFVector:
     def test_segment(self):
         assert f_vector((1, 1)) == [2, 1]
@@ -158,20 +196,32 @@ class TestFVector:
             assert fv[-1] == 1
 
     def test_two_ones_up_to_the_bound(self):
-        # F_{K_{n+1}}(1,1,0,...,0,-2) has dimension C(n,2) and 2*3^(n-2) vertices
+        # f_0 of F_{K_{n+1}}(1,1,0,...,0,-2) equals the listed vertices
         for n in range(7, MAX_N + 1):
             a = (1, 1) + (0,) * (n - 2)
-            fv = f_vector(a)
-            assert fv[0] == catalan_polytope_vertices(n) == len(vertex_tableaux(a))
+            assert f_vector(a)[0] == catalan_polytope_vertices(n) == len(vertex_tableaux(a))
+
+    def test_two_ones_up_to_the_f_vector_bound(self):
+        # F_{K_{n+1}}(1,1,0,...,0,-2) has dimension C(n,2) and 2*3^(n-2) vertices
+        for n in range(2, F_VECTOR_MAX_N + 1):
+            fv = f_vector((1, 1) + (0,) * (n - 2))
+            assert fv[0] == catalan_polytope_vertices(n)
             assert sum((-1) ** d * c for d, c in enumerate(fv)) == 1
             assert len(fv) - 1 == comb(n, 2)
             assert fv[-1] == 1
 
     def test_vertex_counts_above_the_vertex_bound(self):
         # f_vector reaches past MAX_N: f_0 is 2*3^(n-2) for two ones, n! for all ones
-        for n in range(MAX_N + 1, MAX_N + 4):
+        for n in range(MAX_N + 1, F_VECTOR_MAX_N + 1):
             assert f_vector((1, 1) + (0,) * (n - 2))[0] == catalan_polytope_vertices(n)
             assert f_vector((1,) * n)[0] == factorial(n)
+
+    def test_matches_the_column_mask_reference(self):
+        # every prefix in {0,1,2}^n with n <= 6, and three shapes at n = 10
+        prefixes = [a for n in range(7) for a in product((0, 1, 2), repeat=n)]
+        assert len(prefixes) == 1093
+        for a in prefixes + [(1, 1) + (0,) * 8, (1,) * 10, (1,) + (0,) * 9]:
+            assert f_vector(a) == reference_f_vector(a), a
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(0, 2), min_size=1, max_size=4))
