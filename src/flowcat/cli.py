@@ -1,8 +1,9 @@
-"""Command line interface.
+"""usage: flowcat {volume,points,vertices,fvector,ct,verify} [flags]
 
-Subcommands: volume, points, vertices, fvector, ct, verify.  Graphs are
-given as `complete:<n+1>`, `morris:<n+1>,<a>,<b>,<m>`, `tesler:<n+1>,<a>,<b>`
-or `file:<path>` (JSON per the core interchange format).  `volume` offers the
+`flowcat <subcommand> --help` lists the flags of one; a flag's value follows it
+after a space or `=`, as in `--netflow -1,0,1` or `--netflow=-1,0,1`.  Graphs are
+`complete:<n+1>`, `morris:<n+1>,<a>,<b>,<m>`, `tesler:<n+1>,<a>,<b>` or
+`file:<path>` (JSON per the core interchange format).  `volume` offers the
 `ct` and `closed` methods on complete with netflow (1,1,0,...,0,-2), n >= 2, or
 (1,0,...,0,-1), n >= 3; on morris with (1,0,...,0,-1), n >= 2 and a, b >= 1,
 `closed` only for m >= 1; and on tesler with (1,...,1,-n), n >= 2 and b >= 1.
@@ -12,28 +13,18 @@ Exit codes: 0 success, 1 invalid input, 2 verification or agreement failure.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from itertools import chain
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 # Lazily registered by the package: a module runs only when a route uses it.
 # `csv` and `json` are imported where a query reads or writes them.
 from . import closedform, core, ctengine, faces, lidskii, verify
 
-# The keys of verify.SUITES and, in the help of --max-n, their defaults and
-# bounds, written out so that building the parser runs no engine; tests pin both.
-_SUITE_NAMES = ("thm1", "cry", "thm2", "thm3", "morris", "lemma-gen", "lemma-expand",
-                "faces", "lidskii-vs-ehrhart")
-
 
 class CLIError(Exception):
     """Invalid input; reported on stderr with exit status 1."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise CLIError(message)
 
 
 def _load_json(fh) -> object:
@@ -54,9 +45,8 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
         raise CLIError(f"not a comma separated integer list: {raw!r}")
 
 
-def _parse_input(
-    spec: str, raw_netflow: str
-) -> tuple[core.Multigraph, tuple[int, ...], dict[str, Callable[[], int]]]:
+def _parse_input(spec: str, raw_netflow: str
+                 ) -> tuple[core.Multigraph, tuple[int, ...], dict[str, Callable[[], int]]]:
     """(graph, netflow, routes) of --graph and --netflow.  `routes` holds the
     "ct" and "closed" volume routes of a pair that the module docstring names,
     else nothing; each route runs only when its method is asked for."""
@@ -116,58 +106,50 @@ def _emit(payload: dict[str, object], fmt: str, out) -> None:
               if isinstance(payload[k], (dict, list)) else payload[k] for k in keys]
     if fmt == "csv":
         import csv
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(keys)
-        writer.writerow(fields)
+        csv.writer(out, lineterminator="\n").writerows([keys, fields])
     else:
         for k, v in zip(keys, fields):
             print(f"{k}: {v}", file=out)
 
 
-def _run_methods(
-    args, compute: dict[str, Callable[[], int]], result_key: str, out
-) -> int:
+def _run_methods(args, compute: dict[str, Callable[[], int]], result_key: str, out) -> int:
     """Evaluate each requested method, report agreement, emit the payload."""
     values: dict[str, int] = {}
     for method in args.method or ["lidskii"]:
         fn = compute.get(method)
         if fn is None:
             raise CLIError(f"method {method!r} does not apply to this input")
-        values[method] = fn()
+        try:
+            values[method] = fn()
+        except lidskii.NotFullDimensionalError:  # ehrhart's alone: the polytope is empty
+            values[method] = 0
     agreement = len(set(values.values())) == 1
-    payload: dict[str, object] = {
-        result_key: str(next(iter(values.values()))),
-        "agreement": agreement,
-        "methods": {k: str(v) for k, v in sorted(values.items())},
-    }
-    _emit(payload, args.format, out)
+    _emit({result_key: str(next(iter(values.values()))), "agreement": agreement,
+           "methods": {k: str(v) for k, v in sorted(values.items())}}, args.format, out)
     return 0 if agreement else 2
 
 
 def _cmd_volume(args, out) -> int:
     G, netflow, routes = _parse_input(args.graph, args.netflow)
-    compute: dict[str, Callable[[], int]] = {
+    return _run_methods(args, {
         "lidskii": lambda: lidskii.lidskii_volume(G, netflow),
         "ehrhart": lambda: lidskii.ehrhart_polynomial(G, netflow).normalized_volume,
-        **routes,
-    }
-    return _run_methods(args, compute, "volume", out)
+        **routes}, "volume", out)
 
 
 def _cmd_points(args, out) -> int:
     G, netflow, _ = _parse_input(args.graph, args.netflow)
-    compute = {
+    return _run_methods(args, {
         "lidskii": lambda: lidskii.lidskii_points(G, netflow),
         "ehrhart": lambda: lidskii.ehrhart_polynomial(G, netflow)(1),
-        "kostant": lambda: core.kostant(G, netflow),
-    }
-    return _run_methods(args, compute, "points", out)
+        "kostant": lambda: core.kostant(G, netflow)}, "points", out)
 
 
 def _cmd_vertices(args, out) -> int:
-    a = _parse_ints(args.netflow)
-    tableaux = faces.vertex_tableaux(a)
-    if args.count_only and args.format != "json":
+    if args.count_only and args.enumerate:
+        raise CLIError("argument --enumerate: not allowed with argument --count-only")
+    tableaux = faces.vertex_tableaux(_parse_ints(args.netflow))
+    if args.count_only and args.format == "text":
         print(len(tableaux), file=out)
         return 0
     payload: dict[str, object] = {"count": str(len(tableaux))}
@@ -179,8 +161,7 @@ def _cmd_vertices(args, out) -> int:
 
 
 def _cmd_fvector(args, out) -> int:
-    a = _parse_ints(args.netflow)
-    fv = faces.f_vector(a)
+    fv = faces.f_vector(_parse_ints(args.netflow))
     if args.format == "json":
         _emit({"f_vector": [str(v) for v in fv]}, "json", out)
     elif args.format == "csv":
@@ -226,9 +207,8 @@ def _cmd_verify(args, out) -> int:
     failed = 0
     for name, checks in started:
         # one pass that holds a count and the failures, never every check
-        count, bad = 0, []
-        for r in checks:
-            count += 1
+        bad = []
+        for count, r in enumerate(checks, 1):
             ok = r.ok
             if not ok:
                 bad.append(r)
@@ -243,69 +223,89 @@ def _cmd_verify(args, out) -> int:
     return 2 if failed else 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="flowcat", description=__doc__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+# The command line, read by parse_args and --help: subcommand -> (handler, help,
+# flags), flag -> (kind, default, help).  A kind is str, int, bool (a switch), a
+# tuple of choices, or a list of choices for a flag that repeats; default ... marks
+# a required flag.  --suite and --max-n copy verify.SUITES, so parsing runs no engine.
+_FORMATS = ("json", "text", "csv")
+_GRAPH_FLAGS = {"--graph": (str, ..., None),
+                "--netflow": (str, ..., "comma separated integers, one per vertex"),
+                "--format": (_FORMATS, "json", None)}
+_COMMANDS = {
+    "volume": (_cmd_volume, "normalized volume of a flow polytope", {
+        **_GRAPH_FLAGS, "--method": (["lidskii", "ehrhart", "ct", "closed"], None, None)}),
+    "points": (_cmd_points, "lattice point count of a flow polytope", {
+        **_GRAPH_FLAGS, "--method": (["lidskii", "ehrhart", "kostant"], None, (
+            "ehrhart is decoded from lidskii sums; kostant does not use them"))}),
+    "vertices": (_cmd_vertices, "vertices of the complete graph flow polytope", {
+        "--netflow": (str, ..., "nonnegative prefix a_1,...,a_n of the netflow"),
+        "--count-only": (bool, False, "not with --enumerate"),
+        "--enumerate": (bool, False, None), "--format": (_FORMATS, "text", None)}),
+    "fvector": (_cmd_fvector, "face counts by dimension for the complete graph", {
+        "--netflow": (str, ..., None), "--format": (_FORMATS, "text", None)}),
+    "ct": (_cmd_ct, "constant term of an integrand JSON file", {
+        "--file": (str, ..., "- is stdin"), "--format": (_FORMATS[:2], "text", None)}),
+    "verify": (_cmd_verify, "run cross-verification suites", {
+        "--suite": (("thm1", "cry", "thm2", "thm3", "morris", "lemma-gen", "lemma-expand",
+                     "faces", "lidskii-vs-ehrhart", "all"), "all", None),
+        "--max-n": (int, None, "the largest n of every check: K_{n+1}, or n variables. "
+                    "Default [bound]: thm1 5, cry 7, thm2 4, thm3 3, morris 4, lemma-gen "
+                    "5 [5], lemma-expand 3 [3], faces 6 [8], lidskii-vs-ehrhart 4"),
+        "--format": (_FORMATS[1:], "text", None)}),
+}
 
-    def add_graph_flags(p: _Parser) -> None:
-        p.add_argument("--graph", required=True)
-        p.add_argument("--netflow", required=True,
-                       help="comma separated integers, one per vertex; write "
-                            "--netflow=-1,0,1 when the first one is negative")
-        p.add_argument("--format", choices=("json", "text", "csv"), default="json")
 
-    p = sub.add_parser("volume", help="normalized volume of a flow polytope")
-    add_graph_flags(p)
-    p.add_argument("--method", action="append",
-                   choices=("lidskii", "ehrhart", "ct", "closed"))
-    p.set_defaults(fn=_cmd_volume)
+def _help(name: str) -> str:
+    """The usage of subcommand `name`, read from _COMMANDS."""
+    _, text, flags = _COMMANDS[name]
+    lines = [f"usage: flowcat {name} [flags]\n\n{text}\n"]
+    for flag, (kind, default, note) in flags.items():
+        arg = (f" {{{','.join(kind)}}}" if not isinstance(kind, type)
+               else "" if kind is bool else " " + flag[2:].upper())
+        when = ("required" if default is ... else "repeats" if isinstance(kind, list)
+                else f"default {default}" if default else "")
+        lines.append(f"  {flag}{arg}  {when}".rstrip() + (f"\n      {note}" if note else ""))
+    return "\n".join(lines)
 
-    p = sub.add_parser("points", help="lattice point count of a flow polytope")
-    add_graph_flags(p)
-    p.add_argument("--method", action="append",
-                   choices=("lidskii", "ehrhart", "kostant"),
-                   help="ehrhart is decoded from lidskii sums; kostant is the "
-                        "route that does not use the Lidskii engine")
-    p.set_defaults(fn=_cmd_points)
 
-    p = sub.add_parser("vertices",
-                       help="vertices of the complete graph flow polytope")
-    p.add_argument("--netflow", required=True,
-                   help="nonnegative prefix a_1,...,a_n of the netflow")
-    listing = p.add_mutually_exclusive_group()
-    listing.add_argument("--count-only", action="store_true")
-    listing.add_argument("--enumerate", action="store_true")
-    p.add_argument("--format", choices=("json", "text", "csv"), default="text")
-    p.set_defaults(fn=_cmd_vertices)
-
-    p = sub.add_parser("fvector",
-                       help="face counts by dimension for the complete graph")
-    p.add_argument("--netflow", required=True)
-    p.add_argument("--format", choices=("json", "text", "csv"), default="text")
-    p.set_defaults(fn=_cmd_fvector)
-
-    p = sub.add_parser("ct", help="constant term of an integrand JSON file")
-    p.add_argument("--file", required=True, help="path or - for stdin")
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.set_defaults(fn=_cmd_ct)
-
-    p = sub.add_parser("verify", help="run cross-verification suites")
-    p.add_argument("--suite", choices=_SUITE_NAMES + ("all",), default="all")
-    p.add_argument(
-        "--max-n", type=int, default=None,
-        help="the largest n of every check: K_{n+1}, or n variables. Default "
-             "[bound]: thm1 5, cry 7, thm2 4, thm3 3, morris 4, lemma-gen 5 [5], "
-             "lemma-expand 3 [3], faces 6 [8], lidskii-vs-ehrhart 4")
-    p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.set_defaults(fn=_cmd_verify)
-
-    return parser
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The handler's namespace of argv: fn, one attribute per flag; -h prints usage."""
+    name, *tokens = argv or [""]
+    if {"-h", "--help"} & {*argv}:
+        print(_help(name) if name in _COMMANDS else __doc__)
+        raise SystemExit(0)
+    if name not in _COMMANDS:
+        raise CLIError(f"invalid subcommand {name!r}; choose from {', '.join(_COMMANDS)}")
+    fn, _, flags = _COMMANDS[name]
+    values = {flag: default for flag, (_, default, _) in flags.items()}
+    tokens = iter(tokens)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        kind = flags.get(flag, (None,))[0]
+        if kind is None or kind is bool and eq:
+            raise CLIError(f"unrecognized arguments: {token}")
+        if kind is not bool and not eq:  # the next token is the value, unless a flag
+            value = next(tokens, "--")
+            if value.startswith("--"):
+                raise CLIError(f"argument {flag}: expected one argument")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise CLIError(f"argument {flag}: invalid int value: {value!r}")
+        elif isinstance(kind, (tuple, list)) and value not in kind:
+            raise CLIError(f"argument {flag}: invalid choice: {value!r} "
+                           f"(choose from {', '.join(kind)})")
+        values[flag] = (values[flag] or []) + [value] if isinstance(kind, list) else (
+            True if kind is bool else value)
+    if missing := [flag for flag, value in values.items() if value is ...]:
+        raise CLIError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(fn=fn, **{f[2:].replace("-", "_"): v for f, v in values.items()})
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.fn(args, sys.stdout)
     except (CLIError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

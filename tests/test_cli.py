@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 from flowcat import closedform, verify
-from flowcat.cli import _parse_input, main
+from flowcat.cli import _COMMANDS, _cmd_volume, _parse_input, main, parse_args
 from flowcat.faces import F_VECTOR_MAX_N, MAX_N
 from flowcat.lidskii import lidskii_volume
 
@@ -183,6 +183,22 @@ class TestBelowFullDimension:
         assert json.loads(out)["points"] == "2"
         assert json.loads(out)["agreement"] is True
 
+    @pytest.mark.parametrize("command, methods", [
+        ("volume", ("lidskii", "ehrhart")),
+        ("points", ("lidskii", "ehrhart", "kostant")),
+    ])
+    def test_empty_polytope(self, capsys, tmp_path, command, methods):
+        # vertex 2 has supply 1 and no out-edge, so no flow exists; the
+        # library's ehrhart_polynomial raises, the CLI's ehrhart route reads 0
+        argv = [command, "--graph", write_graph(tmp_path, {"vertices": 3, "edges": [[1, 3, 1]]}),
+                "--netflow", "1,1,-2"]
+        for method in methods:
+            argv += ["--method", method]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out) == {command: "0", "agreement": True,
+                                   "methods": {method: "0" for method in methods}}
+
 
 class TestCsv:
     """Fields that hold commas are quoted, so every row parses back to the
@@ -275,6 +291,14 @@ class TestVertices:
         )
         assert code == 0
         assert out.strip() == "18"
+
+    def test_count_only_keeps_the_csv_header(self, capsys):
+        # only text prints the bare count
+        code, out, _ = run(capsys, "vertices", "--netflow", "1,1,0", "--count-only",
+                           "--format", "csv")
+        assert code == 0
+        assert out == "count\n6\n"
+        assert run(capsys, "vertices", "--netflow", "1,1,0", "--format", "csv")[1] == out
 
     def test_enumerate_payload(self, capsys):
         code, out, _ = run(
@@ -511,18 +535,58 @@ class TestParsing:
         assert code == 1
 
     def test_netflow_with_a_negative_first_entry(self, capsys):
-        # argparse reads "-1,0,1" after a space as an option; the = form,
-        # which the help of --netflow names, passes it as the value
+        # the token after a value flag is its value unless it starts with --
         query = ("points", "--graph", "complete:3", "--method", "kostant")
-        code, _, err = run(capsys, *query, "--netflow", "-1,0,1")
+        for netflow in (("--netflow", "-1,0,1"), ("--netflow=-1,0,1",)):
+            code, out, _ = run(capsys, *query, *netflow)
+            assert code == 0
+            assert json.loads(out)["points"] == "0"
+
+    def test_help(self, capsys):
+        for argv in (["--help"], ["-h"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            out = capsys.readouterr().out
+            assert all(name in out for name in _COMMANDS)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "cry", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        names = ["--suite", "--max-n", "--format", *verify.SUITES, "all", "text", "csv"]
+        assert [name for name in names if name not in out] == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (("volume", "--graph", "complete:3", "--netflow", "1,0,-1", "--nope"),
+         "unrecognized arguments: --nope"),
+        (("volume", "--graph", "complete:3", "--netflow", "1,0,-1", "--format", "xml"),
+         "argument --format: invalid choice: 'xml'"),
+        (("volume", "--graph", "complete:3", "--netflow", "1,0,-1", "--method", "guess"),
+         "argument --method: invalid choice: 'guess'"),
+        (("volume", "--netflow", "1,0,-1"), "required: --graph"),
+        (("verify", "--max-n", "x"), "argument --max-n: invalid int value: 'x'"),
+        (("volume", "--graph", "complete:3", "--netflow"),
+         "argument --netflow: expected one argument"),
+        (("volume", "--graph", "--netflow", "1,0,-1"), "argument --graph: expected one argument"),
+        (("fvector", "--netflow", "1,0", "--format"), "argument --format: expected one argument"),
+        (("vertices", "--netflow", "1,0", "--count-only=yes"),
+         "unrecognized arguments: --count-only=yes"),
+        (("volume", "complete:3"), "unrecognized arguments: complete:3"),
+        (("area",), "invalid subcommand 'area'"),
+    ])
+    def test_parse_errors_exit_1(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
         assert code == 1
-        assert "--netflow: expected one argument" in err
-        code, out, _ = run(capsys, *query, "--netflow=-1,0,1")
-        assert code == 0
-        assert json.loads(out)["points"] == "0"
-        with pytest.raises(SystemExit):
-            main(["points", "--help"])
-        assert "--netflow=-1,0,1" in "".join(capsys.readouterr().out.split())
+        assert out == ""
+        assert err.startswith("error: ")
+        assert message in err
+
+    def test_repeated_method_keeps_its_order(self):
+        args = parse_args(["volume", "--graph", "complete:4", "--netflow", "1,1,0,-2",
+                           "--method", "ct", "--method", "lidskii"])
+        assert args.method == ["ct", "lidskii"]
+        assert (args.fn, args.graph, args.netflow, args.format) == (
+            _cmd_volume, "complete:4", "1,1,0,-2", "json")
 
 
 def family_inputs():

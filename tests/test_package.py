@@ -2,7 +2,6 @@
 parser's literal copies of engine constants, the record types, and the
 integer check of the entry points."""
 
-import argparse
 import importlib
 import inspect
 import json
@@ -83,6 +82,9 @@ VERIFY_ROUTES = [
 # Standard-library modules a query loads only when it needs them: `csv` for
 # --format csv, `json` to read or print JSON.
 ON_DEMAND = {"csv", "json"}
+# Modules no query loads: the closed forms are exact ints, so no query needs
+# `fractions`, and the CLI parses argv from its own flag table, not argparse.
+NEVER = {"dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext", "locale"}
 
 # (argv, the engine modules it runs, the ON_DEMAND modules it loads)
 QUERY_ROUTES = [
@@ -110,8 +112,7 @@ QUERY_ROUTES = [
 
 
 def assert_on_demand(new, loaded):
-    # the closed forms are exact ints, so no query needs `fractions`
-    assert not new & {"dataclasses", "inspect", "fractions", "decimal"}
+    assert not new & NEVER
     assert new & ON_DEMAND == loaded
 
 
@@ -168,19 +169,16 @@ class TestNamespace:
 
 class TestParserLiterals:
     @staticmethod
-    def verify_action(dest):
-        parser = cli.build_parser()
-        sub = next(a for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        return next(a for a in sub.choices["verify"]._actions if a.dest == dest)
+    def verify_flag(flag):
+        """(kind, default, help) of a verify flag in the CLI's flag table."""
+        return cli._COMMANDS["verify"][2][flag]
 
     def test_suite_choices_are_the_suites(self):
-        assert tuple(self.verify_action("suite").choices) == (
-            tuple(verify.SUITES) + ("all",))
+        assert self.verify_flag("--suite")[0] == tuple(verify.SUITES) + ("all",)
 
     def test_max_n_help_states_each_default_and_bound(self):
         # "<suite> <default>" or "<suite> <default> [<bound>]", in suite order
-        stated = self.verify_action("max_n").help.partition("Default [bound]: ")[2]
+        stated = self.verify_flag("--max-n")[2].partition("Default [bound]: ")[2]
         entries = re.findall(r"([\w-]+) (\d+)(?: \[(\d+)\])?", stated)
         assert [name for name, _, _ in entries] == list(verify.SUITES)
         for name, default, bound in entries:
