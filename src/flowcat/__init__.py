@@ -23,10 +23,10 @@ _EXPORTS = {
                 "tesler_graph",
         "ctengine": "CTIntegrand catalan_polytope_ct constant_term morris_ct "
                     "reduction_identity tesler_ct",
-        "faces": "catalan_polytope_vertices f_vector tableau_dimension "
-                 "tableau_to_forest vertex_count_formula vertex_tableaux",
-        "lidskii": "EhrhartPolynomial NotFullDimensionalError binomial "
-                   "ehrhart_polynomial lidskii_points lidskii_volume ps_volume",
+        "faces": "catalan_polytope_vertices count_vertex_tableaux f_vector "
+                 "tableau_dimension tableau_to_forest vertex_count_formula vertex_tableaux",
+        "lidskii": "EhrhartPolynomial binomial ehrhart_polynomial lidskii_points "
+                   "lidskii_volume ps_volume",
     }.items()
     for name in names.split()
 }

@@ -8,11 +8,13 @@ after a space or `=`, as in `--netflow -1,0,1` or `--netflow=-1,0,1`.  Graphs ar
 (1,0,...,0,-1), n >= 3; on morris with (1,0,...,0,-1), n >= 2 and a, b >= 1,
 `closed` only for m >= 1; and on tesler with (1,...,1,-n), n >= 2 and b >= 1.
 JSON output is deterministic: keys sorted, big integers as decimal strings.
-Exit codes: 0 success, 1 invalid input, 2 verification or agreement failure.
+Exit codes: 0 success, 1 invalid input or stdout closed early, 2 verification
+or agreement failure.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from itertools import chain
 from types import SimpleNamespace
@@ -119,10 +121,7 @@ def _run_methods(args, compute: dict[str, Callable[[], int]], result_key: str, o
         fn = compute.get(method)
         if fn is None:
             raise CLIError(f"method {method!r} does not apply to this input")
-        try:
-            values[method] = fn()
-        except lidskii.NotFullDimensionalError:  # ehrhart's alone: the polytope is empty
-            values[method] = 0
+        values[method] = fn()
     agreement = len(set(values.values())) == 1
     _emit({result_key: str(next(iter(values.values()))), "agreement": agreement,
            "methods": {k: str(v) for k, v in sorted(values.items())}}, args.format, out)
@@ -148,15 +147,16 @@ def _cmd_points(args, out) -> int:
 def _cmd_vertices(args, out) -> int:
     if args.count_only and args.enumerate:
         raise CLIError("argument --enumerate: not allowed with argument --count-only")
-    tableaux = faces.vertex_tableaux(_parse_ints(args.netflow))
-    if args.count_only and args.format == "text":
-        print(len(tableaux), file=out)
-        return 0
-    payload: dict[str, object] = {"count": str(len(tableaux))}
+    a = _parse_ints(args.netflow)
     if args.enumerate:
-        payload["tableaux"] = [[list(row) for row in rows] for rows in tableaux]
-        payload["forests"] = [faces.tableau_to_forest(rows) for rows in tableaux]
-    _emit(payload, args.format, out)
+        tableaux = faces.vertex_tableaux(a)
+        _emit({"count": str(len(tableaux)),
+               "tableaux": [[list(row) for row in rows] for rows in tableaux],
+               "forests": [faces.tableau_to_forest(rows) for rows in tableaux]}, args.format, out)
+    elif args.count_only and args.format == "text":  # counts the stream, builds no list
+        print(faces.count_vertex_tableaux(a), file=out)
+    else:
+        _emit({"count": str(faces.count_vertex_tableaux(a))}, args.format, out)
     return 0
 
 
@@ -305,10 +305,16 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
-        return args.fn(args, sys.stdout)
+        try:
+            args = parse_args(sys.argv[1:] if argv is None else argv)
+            return args.fn(args, sys.stdout)
+        finally:
+            sys.stdout.flush()  # so that a closed pipe raises in the try
     except (CLIError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # as the `signal` docs advise: devnull takes the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

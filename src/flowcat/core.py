@@ -14,8 +14,8 @@ subtracted from its netflow.  The Lidskii sums of `flowcat.lidskii` run
 through it on the reversed graph, with their composition parts as that
 budget, and so do the constant terms of `flowcat.ctengine`, as Kostant
 partition functions of a graph with one extra sink vertex whose start
-states carry the numerator and whose budget is a power numerator
-(x_{i1} + ... + x_{ik})^p.
+states carry the numerator; a power numerator and the Lidskii volume are
+one budget, a power of a linear form (`_power_sweep`).
 """
 
 from __future__ import annotations
@@ -198,3 +198,15 @@ def _flow_sweep(
         if not states:
             return 0
     return states.get((0,), 0)
+
+
+def _power_sweep(G: Multigraph, start: dict[tuple[int, ...], int], c: Sequence[int],
+                 power: int) -> int:
+    """`_flow_sweep` with (sum_v c_v x_v)^power as its budget: vertex v takes
+    the exponent i_v of x_v, none where c_v = 0, with weight binom(rem, i_v)
+    * c_v^{i_v}.  By Baldoni-Vergne the volume is the constant term of the
+    power of sum_k a_k x_k, so `lidskii_volume` is this sweep with c = rev(a),
+    as `ctengine._power_ct` is with c the indicator of its support.  That is
+    why `tesler_ct` and `lidskii_volume` on the Tesler netflow are one sweep."""
+    return _flow_sweep(G, start, power, [power if cv else 0 for cv in c],
+                       lambda v, rem, i: comb(rem, i) * c[v - 1] ** i)

@@ -16,7 +16,7 @@ numerator monomial.  It runs through the package's one flow sweep
 (`flowcat.core._flow_sweep`), once per integrand, with the numerator's
 monomials as its start states.  A power numerator (x_{i1}+...+x_{ik})^p,
 as in the Tesler and reduction-identity integrands, is not expanded: it is
-the sweep's budget p, shared by those variables (`_power_ct`).  So
+the sweep's budget p, shared by those variables (`core._power_sweep`).  So
 `tesler_ct` makes the same sweep as `lidskii_volume` on its netflow, while
 `catalan_polytope_ct` takes the reduction identity at a = 0 to a Morris CT,
 as the paper's proof of Theorem 1 does, and is an independent route.
@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Sequence
 
 # Lazily registered by the package: only the matrix section runs it.
 from . import compositions
-from .core import Multigraph, _flow_sweep
+from .core import Multigraph, _power_sweep
 
 
 class CTIntegrand(namedtuple(
@@ -117,12 +117,9 @@ def constant_term(f: CTIntegrand) -> int:
 def _power_ct(f: CTIntegrand, support: Sequence[int], power: int) -> int:
     """CT of (sum_{i in support} x_i)^power times the integrand f.
 
-    The power is not expanded: it is the flow sweep's budget.  Vertex v of
-    the graph of `constant_term` takes a part p_v <= power (0 off the
-    support and at the sink), the exponent of x_v in the power, which the
-    sweep subtracts from its netflow; the weights binom(rem, p_v) multiply
-    to the multinomial coefficient.  Each monomial's start netflow omits
-    the power, and the sink's is power minus the others.
+    The power is not expanded: it is the budget of `core._power_sweep`, with
+    c the indicator of the support.  Each monomial's start netflow omits the
+    power, and the sink's is power minus the others.
     """
     n, m = f.n_vars, f.vandermonde_power
     edges = [(i, j, m) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -131,9 +128,8 @@ def _power_ct(f: CTIntegrand, support: Sequence[int], power: int) -> int:
     for coeff, exps in f.numerator:
         net = tuple(i * m + a - e for i, (a, e) in enumerate(zip(f.x_pole, exps)))
         start[net + (power - sum(net),)] += coeff
-    caps = [power if v in support else 0 for v in range(1, n + 2)]
-    return _flow_sweep(Multigraph(n + 1, tuple(edges)), start, power, caps,
-                       lambda v, rem, i: comb(rem, i))
+    c = [int(v in support) for v in range(1, n + 2)]
+    return _power_sweep(Multigraph(n + 1, tuple(edges)), start, c, power)
 
 
 def catalan_polytope_ct(n: int) -> int:

@@ -8,31 +8,34 @@ large dilation B.  The generalized `binomial`, whose top may be negative,
 evaluates the Ehrhart polynomial at any integer t.
 
 A Lidskii sum is not evaluated term by term.  Its composition parts are
-chosen inside a single Kostant flow sweep (`flowcat.core._flow_sweep`): the
-state carries the part of the budget N-n still to be placed, and each vertex
-weights the part it takes.  The sweep subtracts a vertex's part from its
-netflow, so it runs on the reversed graph, where the term K_{G'}(i - t)
-reads K_{G'^rev}(rev(t - i)); placing the parts from the sink end keeps the
-states few.  Graphs with dead ends are first reduced to the vertices that
-reach the sink, where the expansions hold.
+chosen inside one Kostant flow sweep (`flowcat.core._flow_sweep`) of the
+reversed graph, set up by `_lidskii_setup`: the state carries the part of
+the budget N-n still to be placed, and each vertex weights the part it
+takes; placing the parts from the sink end keeps the states few.
 """
 
 from __future__ import annotations
 
 from math import comb
 from operator import index
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .core import Multigraph, _flow_sweep, degree_offsets, kostant
-
-
-class NotFullDimensionalError(ValueError):
-    """The polytope is empty: a vertex with positive netflow cannot reach
-    the sink.  It is raised for nothing else; a nonempty polytope of
-    dimension below N-n gets its exact polynomial and normalized volume 0."""
+from .core import Multigraph, _flow_sweep, _power_sweep, degree_offsets, kostant
 
 
-def _check_netflow(G: Multigraph, netflow: Sequence[int]) -> tuple[int, ...]:
+def _lidskii_setup(G: Multigraph, netflow: Sequence[int]
+                   ) -> tuple[Multigraph, tuple[int, ...], tuple[int, ...], int] | None:
+    """(G'^rev, rev(a), rev(t), N-n) for the Lidskii sums of F_G(netflow), or
+    None when the polytope is empty.
+
+    The formulas need every vertex before the sink to reach the sink, so G
+    and its netflow a are first reduced by `_drop_dead_ends`; N, n, the
+    outdegree offsets t and the restriction G' to [n] are the reduced
+    graph's.  The sweep subtracts a vertex's part from its netflow, and
+    K_{G'}(i - t) = K_{G'^rev}(rev(t - i)), G'^rev having the edges
+    (n+1-j, n+1-i) for i < j <= n: so vertex n+1-k of G'^rev starts with
+    netflow t_k, and its part i_k is subtracted.  For n = 0 (the polytope
+    is the zero flow) it is a one-vertex graph, whose sweep gives 1."""
     a = tuple(map(index, netflow))
     if len(a) != G.vertex_count:
         raise ValueError("netflow length must equal the vertex count")
@@ -40,7 +43,16 @@ def _check_netflow(G: Multigraph, netflow: Sequence[int]) -> tuple[int, ...]:
         raise ValueError("netflow entries must sum to zero")
     if any(x < 0 for x in a[:-1]):
         raise ValueError("netflow entries before the last must be nonnegative")
-    return a
+    reduced = _drop_dead_ends(G, a)
+    if reduced is None:
+        return None
+    G, a = reduced
+    n = G.vertex_count - 1
+    if n == 0:
+        return Multigraph(1), (0,), (0,), 0
+    t, _ = degree_offsets(G)
+    rev = Multigraph(n, tuple((n + 1 - j, n + 1 - i, m) for i, j, m in G.edges if j <= n))
+    return rev, a[n - 1::-1], t[::-1], G.edge_count - n
 
 
 def lidskii_volume(G: Multigraph, netflow: Sequence[int]) -> int:
@@ -48,37 +60,37 @@ def lidskii_volume(G: Multigraph, netflow: Sequence[int]) -> int:
 
     vol = sum over i |= N-n of multinomial(N-n; i) * prod a_k^{i_k}
           * K_{G'}(i - t), with G' the restriction to [n] and t the outdegree
-    offsets, after dead ends are dropped (see `_lidskii_sweep`).  Vertex k
-    takes i_k of the rem units left with weight binom(rem, i_k) * a_k^{i_k};
-    the product of these is the multinomial term, and a vertex with a_k = 0
-    takes nothing.
+    offsets, after dead ends are dropped (see `_lidskii_setup`).  The
+    multinomial terms are the expansion of (sum_k a_k x_k)^{N-n}, so this is
+    `core._power_sweep` on the reversed graph with c = rev(a).
     """
-    return _lidskii_sweep(
-        G, netflow,
-        cap=lambda ak, tk, budget: budget if ak > 0 else 0,
-        weight=lambda ak, tk, rem, i: comb(rem, i) * ak**i,
-    )
+    if (setup := _lidskii_setup(G, netflow)) is None:
+        return 0
+    rev, a, t, budget = setup
+    return _power_sweep(rev, {t: 1}, a, budget)
 
 
 def lidskii_points(G: Multigraph, netflow: Sequence[int]) -> int:
     """Lattice-point count of F_G(netflow) as a binomial-weighted sum.
 
     points = sum over i |= N-n of prod binom(a_k + t_k, i_k) * K_{G'}(i - t),
-    after dead ends are dropped (see `_lidskii_sweep`).  Then every vertex
+    after dead ends are dropped (see `_lidskii_setup`).  Then every vertex
     before the sink has an out-edge, so t_k >= 0 and a_k + t_k >= 0, and the
     binomial vanishes for i_k > a_k + t_k.  Equals K_G(netflow) exactly; the
     two routes are compared in the tests.
     """
-    return _lidskii_sweep(
-        G, netflow,
-        cap=lambda ak, tk, budget: ak + tk,
-        weight=lambda ak, tk, rem, i: comb(ak + tk, i),
-    )
+    setup = _lidskii_setup(G, netflow)
+    return 0 if setup is None else _points_sweep(*setup)
 
 
-def _drop_dead_ends(
-    G: Multigraph, a: tuple[int, ...]
-) -> tuple[Multigraph, tuple[int, ...]] | None:
+def _points_sweep(rev: Multigraph, a: tuple[int, ...], t: tuple[int, ...], budget: int) -> int:
+    """The sweep of `lidskii_points` on a setup of `_lidskii_setup`."""
+    return _flow_sweep(rev, {t: 1}, budget, [ak + tk for ak, tk in zip(a, t)],
+                       lambda v, rem, i: comb(a[v - 1] + t[v - 1], i))
+
+
+def _drop_dead_ends(G: Multigraph, a: tuple[int, ...]
+                    ) -> tuple[Multigraph, tuple[int, ...]] | None:
     """G and its netflow a on the vertices that reach the sink, relabelled
     in order, or None when a dropped vertex has positive netflow (the
     polytope is empty).  An edge whose head cannot reach the sink carries
@@ -92,46 +104,9 @@ def _drop_dead_ends(
         return None
     kept = [v for v in range(1, n1 + 1) if reaches[v]]
     label = {v: k for k, v in enumerate(kept, 1)}
-    reduced = Multigraph(len(kept), tuple(
-        (label[i], label[j], m) for i, j, m in G.edges if reaches[j]
-    ))
+    reduced = Multigraph(len(kept), tuple((label[i], label[j], m)
+                                          for i, j, m in G.edges if reaches[j]))
     return reduced, tuple(a[v - 1] for v in kept)
-
-
-def _lidskii_sweep(
-    G: Multigraph,
-    netflow: Sequence[int],
-    cap: Callable[[int, int, int], int],
-    weight: Callable[[int, int, int, int], int],
-) -> int:
-    """Sum over weak compositions i of N-n, with i_k <= cap(a_k, t_k, N-n),
-    of prod_k weight(a_k, t_k, rem_k, i_k) * K_{G'}(i - t), in one flow
-    sweep (rem_k is what is left of N-n when vertex k takes its part).
-
-    The formulas need every vertex before the sink to reach the sink, so G
-    is first reduced by `_drop_dead_ends`; an empty polytope gives 0.  The
-    sweep runs on the reversed restriction G'^rev, with the edges
-    (n+1-j, n+1-i) for i < j <= n, where K_{G'}(i - t) = K_{G'^rev}(rev(t - i)):
-    vertex n+1-k starts with netflow t_k and its part i_k is subtracted.
-    The product of the binom(rem, i_k) factors is the multinomial in any
-    vertex order.
-    """
-    reduced = _drop_dead_ends(G, _check_netflow(G, netflow))
-    if reduced is None:
-        return 0
-    G, a = reduced
-    n = G.vertex_count - 1
-    if n == 0:
-        return 1  # the polytope is the zero flow
-    t, _ = degree_offsets(G)
-    budget = G.edge_count - n
-    rev = Multigraph(n, tuple(
-        (n + 1 - j, n + 1 - i, m) for i, j, m in G.edges if j <= n
-    ))
-    a, t = a[n - 1::-1], t[::-1]
-    return _flow_sweep(rev, {t: 1}, budget,
-                       [cap(ak, tk, budget) for ak, tk in zip(a, t)],
-                       lambda v, rem, i: weight(a[v - 1], t[v - 1], rem, i))
 
 
 def ps_volume(G: Multigraph) -> int:
@@ -178,11 +153,12 @@ def ehrhart_polynomial(G: Multigraph, netflow: Sequence[int]) -> EhrhartPolynomi
     off two `lidskii_points` sums: M = P(T), T = max(d, 1), and V = P(B) with
     B = 2d + d(2M + 1).
 
-    G is first reduced by `_drop_dead_ends`, which keeps every K_G(t * a),
-    so N and n are those of the reduced graph.  NotFullDimensionalError
-    means the polytope is empty.  Otherwise every vertex reaches the sink
-    with a_v >= 0, so the polytope is nonempty, and it is a lattice polytope
-    (the incidence matrix is totally unimodular).
+    Both sums sweep the one setup of `_lidskii_setup`, whose reduction by
+    `_drop_dead_ends` keeps every K_G(t * a), so N and n are those of the
+    reduced graph.  An empty polytope gets the zero polynomial, the Ehrhart
+    polynomial of the empty set.  Otherwise every vertex reaches the sink
+    with a_v >= 0, so the polytope is nonempty, P(0) = 1, and it is a
+    lattice polytope (the incidence matrix is totally unimodular).
 
     Why the digits are exact.  Write P(t) = sum_k D_k binom(t, k).
     - D_k >= 0: by Stanley's theorem P(t) = sum_j h*_j binom(t + e - j, e)
@@ -198,15 +174,13 @@ def ehrhart_polynomial(G: Multigraph, netflow: Sequence[int]) -> EhrhartPolynomi
     A wrong sum shows as a digit above M, or as a polynomial that misses M
     at T; either raises ArithmeticError.
     """
-    reduced = _drop_dead_ends(G, _check_netflow(G, netflow))
-    if reduced is None:
-        raise NotFullDimensionalError("the polytope is empty")
-    G, a = reduced
-    d = G.edge_count - (G.vertex_count - 1)
+    if (setup := _lidskii_setup(G, netflow)) is None:
+        return EhrhartPolynomial((0,))
+    rev, a, t, d = setup
     T = max(d, 1)
-    M = lidskii_points(G, tuple(T * x for x in a))
+    M = _points_sweep(rev, tuple(T * x for x in a), t, d)
     B = 2 * d + d * (2 * M + 1)
-    V = lidskii_points(G, tuple(B * x for x in a))
+    V = _points_sweep(rev, tuple(B * x for x in a), t, d)
     differences = []
     for k in range(d, -1, -1):
         digit, V = divmod(V, comb(B, k))

@@ -3,11 +3,13 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tracemalloc
 
 import pytest
 
+import flowcat
 from flowcat import closedform, verify
 from flowcat.cli import _COMMANDS, _cmd_volume, _parse_input, main, parse_args
 from flowcat.faces import F_VECTOR_MAX_N, MAX_N
@@ -188,8 +190,8 @@ class TestBelowFullDimension:
         ("points", ("lidskii", "ehrhart", "kostant")),
     ])
     def test_empty_polytope(self, capsys, tmp_path, command, methods):
-        # vertex 2 has supply 1 and no out-edge, so no flow exists; the
-        # library's ehrhart_polynomial raises, the CLI's ehrhart route reads 0
+        # vertex 2 has supply 1 and no out-edge, so no flow exists, and the
+        # Ehrhart polynomial is the zero polynomial
         argv = [command, "--graph", write_graph(tmp_path, {"vertices": 3, "edges": [[1, 3, 1]]}),
                 "--netflow", "1,1,-2"]
         for method in methods:
@@ -504,7 +506,7 @@ class TestVerify:
         def work(*args):
             raise AssertionError("the suite started before checking --max-n")
 
-        monkeypatch.setattr("flowcat.faces.vertex_tableaux", work)
+        monkeypatch.setattr("flowcat.faces.count_vertex_tableaux", work)
         code, _, err = run(capsys, "verify", "--suite", "faces",
                            "--max-n", str(MAX_N + 1))
         assert code == 1
@@ -516,11 +518,41 @@ class TestVerify:
         def work(*args):
             raise AssertionError("the suite started before checking --max-n")
 
-        monkeypatch.setattr("flowcat.faces.vertex_tableaux", work)
+        monkeypatch.setattr("flowcat.faces.count_vertex_tableaux", work)
         code, out, err = run(capsys, "verify", "--suite", "faces", "--max-n", "-1")
         assert code == 1
         assert out == ""
         assert f"0 <= max_n <= {MAX_N}" in err
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early ends the query with exit status 1
+    and nothing on stderr, as the module docstring states."""
+
+    ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(flowcat.__file__))}
+
+    def test_reader_that_stops_after_one_line(self):
+        # the CSV rows fill the pipe, so the writer is still writing
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "flowcat.cli", "verify", "--suite", "lemma-gen",
+             "--format", "csv"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.ENV)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert first.startswith(b"lemma-gen,") and err == b""
+
+    def test_help_into_a_closed_pipe(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "flowcat.cli", "--help"],
+                                  stdout=write, stderr=subprocess.PIPE, env=self.ENV,
+                                  timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 class TestParsing:

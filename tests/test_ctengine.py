@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowcat.core
 import flowcat.ctengine
 from flowcat.closedform import tesler_unit_volume
 from flowcat.compositions import weak_compositions
@@ -156,13 +157,13 @@ class TestNamedIntegrands:
     def test_catalan_ct_is_not_the_lidskii_sweep(self, monkeypatch):
         """The power CT is the budgeted sweep that `lidskii_volume` makes on
         the Catalan netflow; the reduction makes only sweeps with no budget."""
-        budgets, sweep = [], flowcat.ctengine._flow_sweep
+        budgets, sweep = [], flowcat.core._flow_sweep
 
         def spy(G, start, budget=0, *args):
             budgets.append(budget)
             return sweep(G, start, budget, *args)
 
-        monkeypatch.setattr(flowcat.ctengine, "_flow_sweep", spy)
+        monkeypatch.setattr(flowcat.core, "_flow_sweep", spy)
         for n in range(3, 9):
             budgets.clear()
             catalan_polytope_ct(n)
@@ -468,16 +469,17 @@ class TestReductionIdentity:
     def test_lemma_gen_sweeps_once_per_head(self, monkeypatch):
         counts = {"staircase_matrices": 0, "_flow_sweep": 0}
 
-        def counted(name):
-            fn = getattr(flowcat.ctengine, name)
+        def counted(module, name):
+            fn = getattr(module, name)
 
             def wrapper(*args):
                 counts[name] += 1
                 return fn(*args)
             return wrapper
 
-        for name in counts:
-            monkeypatch.setattr(flowcat.ctengine, name, counted(name))
+        for module, name in ((flowcat.ctengine, "staircase_matrices"),
+                             (flowcat.core, "_flow_sweep")):
+            monkeypatch.setattr(module, name, counted(module, name))
         results = list(suite_reduction_identity())
         assert len(results) == 2678 and all(r.ok for r in results)
         # Y once for each of the 85 (n, head) pairs; 835 distinct left-hand

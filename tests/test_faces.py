@@ -15,6 +15,7 @@ from flowcat.faces import (
     _checked_prefix,
     _merge,
     catalan_polytope_vertices,
+    count_vertex_tableaux,
     f_vector,
     tableau_dimension,
     tableau_to_forest,
@@ -130,19 +131,30 @@ class TestEnumeration:
         assert f_vector((0, 0, 0)) == [1]
         assert vertex_tableaux((0, 0, 0)) == [((0, 0, 0), (0, 0), (0,))]
 
+    def test_stream_order_and_count(self):
+        """Depth first, by the column of each row's 1, and counted without
+        a list."""
+        for n in range(6):
+            for a in product((0, 1, 2), repeat=n):
+                tableaux = vertex_tableaux(a)
+                assert tableaux == sorted(tableaux, key=lambda rows: [
+                    row.index(1) if any(row) else -1 for row in rows])
+                assert count_vertex_tableaux(a) == len(tableaux)
+
     def test_rejects_negative_entries(self):
-        for fn in (f_vector, vertex_tableaux):
+        for fn in (f_vector, vertex_tableaux, count_vertex_tableaux):
             with pytest.raises(ValueError):
                 fn((1, -1))
 
     def test_rejects_non_integer_entries(self):
-        for fn in (f_vector, vertex_tableaux):
+        for fn in (f_vector, vertex_tableaux, count_vertex_tableaux):
             with pytest.raises(TypeError):
                 fn((0.5, 1))
 
     def test_size_bound(self):
-        with pytest.raises(ValueError, match=f"n <= {MAX_N}"):
-            vertex_tableaux((1,) * (MAX_N + 1))
+        for fn in (vertex_tableaux, count_vertex_tableaux):
+            with pytest.raises(ValueError, match=f"n <= {MAX_N}"):
+                fn((1,) * (MAX_N + 1))
 
     def test_f_vector_size_bound(self):
         with pytest.raises(ValueError, match=f"n <= {F_VECTOR_MAX_N}"):

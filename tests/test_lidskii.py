@@ -17,7 +17,6 @@ from flowcat.core import (
 from flowcat import lidskii
 from flowcat.lidskii import (
     EhrhartPolynomial,
-    NotFullDimensionalError,
     _drop_dead_ends,
     binomial,
     ehrhart_polynomial,
@@ -46,10 +45,10 @@ def reference_ehrhart(G, a):
     """Reference for the decoded Ehrhart polynomial: the forward differences
     of kostant(G, t * a) at the d + 3 nodes t = 0..d+2, d = N - n of the
     graph without dead ends; the differences of order d+1 and d+2 must
-    vanish."""
+    vanish.  An empty polytope has the zero polynomial."""
     reduced = _drop_dead_ends(G, a)
     if reduced is None:
-        raise NotFullDimensionalError("the polytope is empty")
+        return EhrhartPolynomial((0,))
     G, a = reduced
     d = G.edge_count - (G.vertex_count - 1)
     row = [kostant(G, tuple(t * x for x in a)) for t in range(d + 3)]
@@ -57,8 +56,8 @@ def reference_ehrhart(G, a):
     while row:
         differences.append(row[0])
         row = [y - x for x, y in zip(row, row[1:])]
-    if differences[d + 1] or differences[d + 2]:
-        raise NotFullDimensionalError(f"the values are not a polynomial of degree <= {d}")
+    assert not (differences[d + 1] or differences[d + 2]), (
+        f"the values are not a polynomial of degree <= {d}")
     return EhrhartPolynomial(tuple(differences[: d + 1]))
 
 
@@ -124,13 +123,12 @@ class TestAgainstCompositionSum:
     def test_random_multigraphs(self, case):
         G, a = case
         assert lidskii_points(G, a) == kostant(G, a)
-        try:
-            ehrhart = ehrhart_polynomial(G, a).normalized_volume
-        except NotFullDimensionalError:
-            # only an empty polytope raises
-            assert kostant(G, a) == 0
-            return
-        assert lidskii_volume(G, a) == ehrhart
+        p = ehrhart_polynomial(G, a)
+        # only an empty polytope has no lattice point, and it alone gets the
+        # zero polynomial; a nonempty one has P(0) = 1
+        empty = _drop_dead_ends(G, a) is None
+        assert empty == (kostant(G, a) == 0) == (p == EhrhartPolynomial((0,)))
+        assert lidskii_volume(G, a) == p.normalized_volume
 
     def test_dead_end_vertex(self):
         # vertex 2 has no out-edge, so edge (1,2) is forced to carry 0
@@ -146,8 +144,7 @@ class TestAgainstCompositionSum:
         assert kostant(G, (0, 1, -1)) == 0
         assert lidskii_points(G, (0, 1, -1)) == 0
         assert lidskii_volume(G, (0, 1, -1)) == 0
-        with pytest.raises(NotFullDimensionalError):
-            ehrhart_polynomial(G, (0, 1, -1))
+        assert ehrhart_polynomial(G, (0, 1, -1)).differences == (0,)
 
 
 class TestVolume:
@@ -246,13 +243,7 @@ class TestEhrhart:
     @given(custom_multigraphs())
     def test_matches_the_node_route(self, case):
         G, a = case
-        try:
-            expected = reference_ehrhart(G, a)
-        except NotFullDimensionalError:
-            with pytest.raises(NotFullDimensionalError):
-                ehrhart_polynomial(G, a)
-            return
-        assert ehrhart_polynomial(G, a) == expected
+        assert ehrhart_polynomial(G, a) == reference_ehrhart(G, a)
 
     def test_zero_dimensional(self):
         # d = 0: one edge, one flow, at every dilation
@@ -265,20 +256,45 @@ class TestEhrhart:
 
     def test_two_points_sums_and_no_kostant_call(self, monkeypatch):
         calls = []
+        sweep = lidskii._flow_sweep
 
-        def counted(G, netflow):
-            calls.append(netflow)
-            return lidskii_points(G, netflow)
+        def counted(G, start, *args):
+            calls.append(start)
+            return sweep(G, start, *args)
 
         def forbidden(*args):
             raise AssertionError("ehrhart_polynomial called kostant")
 
-        monkeypatch.setattr(lidskii, "lidskii_points", counted)
+        monkeypatch.setattr(lidskii, "_flow_sweep", counted)
         monkeypatch.setattr(lidskii, "kostant", forbidden)
         for G, a in family_cases():
             calls.clear()
             ehrhart_polynomial(G, a)
             assert 1 <= len(calls) <= 2
+
+    def test_one_setup_and_two_sweeps_of_one_graph(self, monkeypatch):
+        """The dead ends are dropped once, and both points sums sweep the
+        same reversed graph with the same budget, at T and at B."""
+        drops, sweeps = [], []
+        drop, sweep = lidskii._drop_dead_ends, lidskii._flow_sweep
+
+        def counted_drop(G, a):
+            drops.append(a)
+            return drop(G, a)
+
+        def counted_sweep(G, start, budget, *args):
+            sweeps.append((G, budget))
+            return sweep(G, start, budget, *args)
+
+        monkeypatch.setattr(lidskii, "_drop_dead_ends", counted_drop)
+        monkeypatch.setattr(lidskii, "_flow_sweep", counted_sweep)
+        dead_end = Multigraph(4, ((1, 2, 1), (1, 4, 2), (2, 4, 1))), (1, 1, 0, -2)
+        for G, a in [*family_cases(), dead_end]:
+            drops.clear()
+            sweeps.clear()
+            ehrhart_polynomial(G, a)
+            assert len(drops) == 1
+            assert len(sweeps) == 2 and sweeps[0] == sweeps[1]
 
     @pytest.mark.parametrize("bump, message", [
         (lambda M, B, d: 1, r"is \d+ at t = \d+, not \d+"),
@@ -288,16 +304,19 @@ class TestEhrhart:
         G, a = complete_graph(4), (1, 1, 0, -2)
         d = G.edge_count - 3
         values = []
+        sweep = lidskii._flow_sweep
 
-        def wrong_at_large_dilation(G, netflow):
-            value = lidskii_points(G, netflow)
+        def wrong_at_large_dilation(G, start, budget, caps, weight):
+            value = sweep(G, start, budget, caps, weight)
             values.append(value)
             if len(values) == 2:  # the sum at t = B
-                M, B = values[0], netflow[0]
+                # caps are B * rev(a) + rev(t), started at rev(t), and
+                # the last vertex of the reversed graph is vertex 1, a_1 = 1
+                M, B = values[0], caps[-1] - next(iter(start))[-1]
                 value += bump(M, B, d)
             return value
 
-        monkeypatch.setattr(lidskii, "lidskii_points", wrong_at_large_dilation)
+        monkeypatch.setattr(lidskii, "_flow_sweep", wrong_at_large_dilation)
         with pytest.raises(ArithmeticError, match=message):
             ehrhart_polynomial(G, a)
 
